@@ -30,8 +30,8 @@
 use std::time::Instant;
 
 use shadow_bench::{
-    banner, engine_sweep_cells, host_cpus, intra_threads, request_target, run_cells_with,
-    run_uncached, scaling_threads, workspace_root,
+    artifact_path, banner, engine_sweep_cells, host_cpus, intra_threads, request_target,
+    run_cells_with, run_uncached, scaling_threads,
 };
 
 fn json_f(v: f64) -> String {
@@ -229,7 +229,7 @@ fn main() {
         intra_json,
         shadow_bench::provenance_json(),
     );
-    let path = workspace_root().join("BENCH_engine.json");
+    let path = artifact_path("BENCH_engine.json");
     match std::fs::write(&path, json) {
         Ok(()) => println!("[json] {}", path.display()),
         Err(e) => eprintln!("(artifact write failed: {e})"),

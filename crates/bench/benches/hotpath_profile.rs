@@ -47,8 +47,8 @@
 use std::time::Instant;
 
 use shadow_bench::{
-    banner, engine_sweep_cells, host_cpus, provenance_json, request_target, run_cells_with,
-    run_uncached, workspace_root,
+    artifact_path, banner, engine_sweep_cells, host_cpus, provenance_json, request_target,
+    run_cells_with, run_uncached,
 };
 use shadow_sim::profiler::{profiler_compiled, Phase, PhaseProfile, SAMPLE_RATE};
 
@@ -492,7 +492,7 @@ fn main() {
         phase_json,
         provenance_json(),
     );
-    let path = workspace_root().join("BENCH_hotpath.json");
+    let path = artifact_path("BENCH_hotpath.json");
     match std::fs::write(&path, json) {
         Ok(()) => println!("[json] {}", path.display()),
         Err(e) => eprintln!("(artifact write failed: {e})"),

@@ -44,6 +44,11 @@
 //!   `N` cells (default and `0`: all 12). CI's smoke job sets `2` to
 //!   build-and-execute the engine benches without the full measurement.
 //!
+//! A run with a truncated slice or fewer requests than the default is a
+//! smoke run ([`is_smoke_run`]): the engine benches then write their
+//! artifacts under `target/bench-smoke/` instead of over the tracked
+//! `BENCH_*.json` at the workspace root ([`artifact_path`]).
+//!
 //! All knobs are parsed with [`env_parsed`]: unset falls back to the
 //! default, but a *set-and-malformed* value is a typed [`BenchError`]
 //! naming the variable — never a silent fallback.
@@ -242,8 +247,11 @@ pub fn request_target() -> u64 {
 
 /// [`request_target`] without the panic.
 pub fn try_request_target() -> Result<u64, BenchError> {
-    env_parsed("SHADOW_BENCH_REQS", 60_000)
+    env_parsed("SHADOW_BENCH_REQS", DEFAULT_REQUESTS)
 }
+
+/// The default completed-request target per run.
+pub const DEFAULT_REQUESTS: u64 = 60_000;
 
 /// Down-scaling factor for *window-relative* thresholds (RRS's swap
 /// threshold and BlockHammer's blacklist are defined per tREFW ≈ 85M
@@ -531,7 +539,7 @@ pub fn run(cfg: SystemConfig, workload_name: &str, scheme: Scheme) -> SimReport 
 /// queued request; `force_full_scan` degrades the scheduler back to the
 /// full O(total banks) walk and bypasses the frontier memo;
 /// `force_eager_ledger` builds every Row Hammer ledger in eager reference
-/// mode (immediate restores, full-scan `hottest()`); and
+/// mode (every subarray allocated up front, full-scan `hottest()`); and
 /// `force_linear_frfcfs` replaces the per-bank row index with the linear
 /// queue scan for FR-FCFS hit selection. The table-driven
 /// PRINCE core has no runtime switch — it is pinned to the published test
@@ -653,11 +661,42 @@ pub fn engine_sweep_cells() -> Vec<Cell> {
         .iter()
         .flat_map(|&w| schemes.iter().map(move |&s| (cfg, w.to_string(), s)))
         .collect();
-    let cap: usize = env_parsed("SHADOW_BENCH_CELLS", 0).unwrap_or_else(|e| panic!("{e}"));
+    let cap = sweep_cell_cap();
     if cap > 0 {
         cells.truncate(cap);
     }
     cells
+}
+
+/// `SHADOW_BENCH_CELLS`, or 0 (no truncation) when unset.
+fn sweep_cell_cap() -> usize {
+    env_parsed("SHADOW_BENCH_CELLS", 0).unwrap_or_else(|e| panic!("{e}"))
+}
+
+/// Whether this run is a smoke run: `SHADOW_BENCH_CELLS` truncates the
+/// engine slice, or `SHADOW_BENCH_REQS` is below [`DEFAULT_REQUESTS`].
+/// Smoke numbers are not comparable measurements.
+///
+/// # Panics
+///
+/// Panics with the variable name if either knob is set but malformed.
+pub fn is_smoke_run() -> bool {
+    sweep_cell_cap() > 0 || request_target() < DEFAULT_REQUESTS
+}
+
+/// Where an engine bench writes its artifact `name`: the tracked file at
+/// the workspace root for a full run, `target/bench-smoke/<name>` for a
+/// [smoke run](is_smoke_run) (the directory is created if missing).
+pub fn artifact_path(name: &str) -> std::path::PathBuf {
+    let root = workspace_root();
+    if !is_smoke_run() {
+        return root.join(name);
+    }
+    let dir = root.join("target/bench-smoke");
+    if let Err(e) = std::fs::create_dir_all(&dir) {
+        eprintln!("(bench-smoke dir unavailable: {e})");
+    }
+    dir.join(name)
 }
 
 /// Runs independent `jobs` across `threads` scoped worker threads and
@@ -941,10 +980,20 @@ pub fn relative_series_timed(
         .collect()
 }
 
-/// The workspace root, anchored from this crate's manifest (benches run
-/// with the crate directory as cwd).
+/// The workspace root: the nearest ancestor of the current directory
+/// whose `Cargo.toml` has a `[workspace]` table (cargo runs benches and
+/// tests from the package directory), or the current directory if none
+/// does. Resolved at run time, so a binary built in one checkout and run
+/// in another writes into the one it runs in.
 pub fn workspace_root() -> std::path::PathBuf {
-    std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..")
+    let cwd = std::env::current_dir().unwrap_or_else(|_| ".".into());
+    let declares_workspace = |dir: &std::path::Path| {
+        std::fs::read_to_string(dir.join("Cargo.toml"))
+            .is_ok_and(|toml| toml.lines().any(|l| l.trim() == "[workspace]"))
+    };
+    cwd.ancestors()
+        .find(|dir| declares_workspace(dir))
+        .map_or_else(|| cwd.clone(), std::path::Path::to_path_buf)
 }
 
 /// Runs `cmd args…` and returns its trimmed stdout, or `None` on any

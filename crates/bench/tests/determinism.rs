@@ -217,10 +217,10 @@ fn trace_recorder_does_not_change_outcomes() {
     }
 }
 
-/// The lazy stamp-based Row Hammer ledger must equal the eager reference
+/// The first-touch Row Hammer ledger must equal the eager reference
 /// ledger on schemes that lean on every ledger entry point: SHADOW's
 /// shuffles deposit + restore, RRS swaps restore pairs, and refresh
-/// sweeps drive the aligned `restore_block` fast path everywhere.
+/// sweeps drive `restore_block` over allocated and absent subarrays alike.
 #[test]
 fn lazy_ledger_matches_eager_reference() {
     for scheme in [Scheme::Baseline, Scheme::Shadow, Scheme::Rrs, Scheme::Para] {

@@ -13,8 +13,8 @@
 //! 3. **retranslate** — [`Retranslate`] reports a fresh epoch on every
 //!    query, defeating the translation cache entirely;
 //! 4. **eager-ledger** — `force_eager_ledger` builds every Row Hammer
-//!    ledger in eager reference mode, defeating the lazy-restore stamps
-//!    and the hot-row index;
+//!    ledger in eager reference mode, defeating first-touch subarray
+//!    allocation and the allocated-blocks `hottest()` scan;
 //! 5. **frontier-walk** — `force_frontier_walk` keeps the memoized
 //!    frontier walk but bypasses the event calendar, defeating the lazy
 //!    heap (stale-entry discard, seq-counter invalidation) from the

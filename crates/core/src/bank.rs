@@ -67,7 +67,8 @@ pub struct ShadowBank {
 }
 
 impl ShadowBank {
-    /// Creates a bank with identity mappings.
+    /// Creates a bank with identity mappings (no table allocates its maps
+    /// before its subarray's first shuffle).
     ///
     /// # Panics
     ///
@@ -231,6 +232,30 @@ mod tests {
         assert_eq!(b.translate(15), 15);
         assert_eq!(b.translate(16), 17); // subarray 1 starts at DA 17
         assert_eq!(b.da_rows(), 4 * 17);
+    }
+
+    #[test]
+    fn unshuffled_bank_is_identity_without_tables() {
+        let mut b = bank();
+        for pa in 0..64u32 {
+            let da = b.translate(pa);
+            assert_eq!(da, pa + pa / 16);
+            assert_eq!(b.reverse(da), Some(pa));
+        }
+        for sa in 0..4 {
+            assert_eq!(b.reverse(sa * 17 + 16), None, "empty slot of subarray {sa}");
+            assert!(!b.table(sa).is_materialized());
+            assert_eq!(
+                b.table(sa).storage_bits(),
+                RemapTable::new(16).storage_bits()
+            );
+        }
+        assert!(b.check_invariants().is_ok());
+        b.note_activate(40);
+        b.on_rfm();
+        let built: Vec<u32> = (0..4).filter(|&sa| b.table(sa).is_materialized()).collect();
+        assert_eq!(built, vec![2], "only the shuffled subarray builds its maps");
+        assert!(b.check_invariants().is_ok());
     }
 
     #[test]

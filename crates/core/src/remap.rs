@@ -46,11 +46,20 @@ impl ShuffleOps {
 }
 
 /// PA→DA mapping state of one subarray (the remapping-row contents).
-#[derive(Debug, Clone, PartialEq, Eq)]
+///
+/// A new table is the identity mapping and allocates nothing: a subarray's
+/// remapping-row changes only when an RFM shuffles that subarray (§IV-B),
+/// and a simulated slice shuffles few of them. The explicit maps are built
+/// on the first [`shuffle`](RemapTable::shuffle).
+#[derive(Debug, Clone)]
 pub struct RemapTable {
-    /// `fwd[pa] = da` for every MC-visible row.
+    /// MC-visible rows.
+    n: u32,
+    /// `fwd[pa] = da` for every MC-visible row; empty while the table is
+    /// still the identity.
     fwd: Vec<u32>,
-    /// `inv[da] = pa`, or [`RemapTable::EMPTY`] for the empty slot.
+    /// `inv[da] = pa`, or [`RemapTable::EMPTY`] for the empty slot; empty
+    /// while the table is still the identity.
     inv: Vec<u32>,
     /// DA slot currently holding no data.
     empty_da: u32,
@@ -58,6 +67,20 @@ pub struct RemapTable {
     incr_ptr: u32,
     shuffles: u64,
 }
+
+/// Tables are equal when they map every row alike and agree on the empty
+/// slot, pointer and shuffle count, whether or not their maps are built.
+impl PartialEq for RemapTable {
+    fn eq(&self, other: &Self) -> bool {
+        self.n == other.n
+            && self.empty_da == other.empty_da
+            && self.incr_ptr == other.incr_ptr
+            && self.shuffles == other.shuffles
+            && (0..self.n).all(|pa| self.da_of(pa) == other.da_of(pa))
+    }
+}
+
+impl Eq for RemapTable {}
 
 impl RemapTable {
     /// Sentinel marking the empty DA slot in the inverse map.
@@ -71,12 +94,10 @@ impl RemapTable {
     /// Panics if `n == 0`.
     pub fn new(n: u32) -> Self {
         assert!(n > 0, "subarray must have rows");
-        let fwd: Vec<u32> = (0..n).collect();
-        let mut inv: Vec<u32> = (0..n).collect();
-        inv.push(Self::EMPTY);
         RemapTable {
-            fwd,
-            inv,
+            n,
+            fwd: Vec::new(),
+            inv: Vec::new(),
             empty_da: n,
             incr_ptr: 0,
             shuffles: 0,
@@ -85,12 +106,12 @@ impl RemapTable {
 
     /// Number of MC-visible rows.
     pub fn rows(&self) -> u32 {
-        self.fwd.len() as u32
+        self.n
     }
 
     /// Number of physical DA slots (`rows + 1`).
     pub fn slots(&self) -> u32 {
-        self.inv.len() as u32
+        self.n + 1
     }
 
     /// Translates a PA row index to its current DA slot.
@@ -99,7 +120,12 @@ impl RemapTable {
     ///
     /// Panics if `pa` is out of range.
     pub fn da_of(&self, pa: u32) -> u32 {
-        self.fwd[pa as usize]
+        if self.fwd.is_empty() {
+            assert!(pa < self.n, "PA {pa} out of range");
+            pa
+        } else {
+            self.fwd[pa as usize]
+        }
     }
 
     /// The PA currently stored in DA slot `da`, or `None` for the empty slot.
@@ -108,12 +134,18 @@ impl RemapTable {
     ///
     /// Panics if `da` is out of range.
     pub fn pa_of(&self, da: u32) -> Option<u32> {
-        let v = self.inv[da as usize];
-        if v == Self::EMPTY {
-            None
-        } else {
-            Some(v)
+        if self.inv.is_empty() {
+            assert!(da <= self.n, "DA slot {da} out of range");
+            return (da < self.n).then_some(da);
         }
+        let v = self.inv[da as usize];
+        (v != Self::EMPTY).then_some(v)
+    }
+
+    /// Whether the explicit maps have been built (the table has been
+    /// shuffled or decoded).
+    pub fn is_materialized(&self) -> bool {
+        !self.fwd.is_empty()
     }
 
     /// The current empty DA slot.
@@ -149,6 +181,10 @@ impl RemapTable {
     ///
     /// Panics if either PA is out of range.
     pub fn shuffle(&mut self, aggr_pa: u32, rand_pa: u32) -> ShuffleOps {
+        if !self.is_materialized() {
+            self.fwd = (0..self.n).collect();
+            self.inv = (0..self.n).chain([Self::EMPTY]).collect();
+        }
         let old_empty = self.empty_da;
         let rand_da = self.da_of(rand_pa);
         let aggr_da = self.da_of(aggr_pa);
@@ -215,6 +251,7 @@ impl RemapTable {
             .position(|&v| v == Self::EMPTY)
             .expect("n+1 slots with n mappings leave one empty") as u32;
         let table = RemapTable {
+            n,
             fwd: fwd.to_vec(),
             inv,
             empty_da,
@@ -241,7 +278,7 @@ impl RemapTable {
         let n = self.rows();
         let mut seen = vec![false; self.slots() as usize];
         for pa in 0..n {
-            let da = self.fwd[pa as usize];
+            let da = self.da_of(pa);
             if da >= self.slots() {
                 return Err(format!("fwd[{pa}] = {da} out of range"));
             }
@@ -249,14 +286,14 @@ impl RemapTable {
                 return Err(format!("DA slot {da} mapped twice"));
             }
             seen[da as usize] = true;
-            if self.inv[da as usize] != pa {
+            if self.pa_of(da) != Some(pa) {
                 return Err(format!("inv[{da}] != {pa}"));
             }
         }
         if seen[self.empty_da as usize] {
             return Err(format!("empty slot {} is mapped", self.empty_da));
         }
-        if self.inv[self.empty_da as usize] != Self::EMPTY {
+        if self.pa_of(self.empty_da).is_some() {
             return Err("inverse of empty slot not marked EMPTY".into());
         }
         Ok(())
@@ -277,6 +314,39 @@ mod tests {
         assert_eq!(t.empty_da(), 8);
         assert_eq!(t.pa_of(8), None);
         assert!(t.check_invariants().is_ok());
+    }
+
+    #[test]
+    fn identity_until_first_shuffle() {
+        let mut t = RemapTable::new(512);
+        assert!(!t.is_materialized());
+        assert_eq!(t.da_of(511), 511);
+        assert_eq!(t.pa_of(300), Some(300));
+        assert_eq!(t.pa_of(512), None, "the empty DA slot maps to no PA");
+        assert!(t.check_invariants().is_ok());
+        let bits = t.storage_bits();
+        t.advance_incr_ptr();
+        assert!(!t.is_materialized(), "pointer moves need no maps");
+        t.shuffle(4, 9);
+        assert!(t.is_materialized());
+        assert_eq!(t.storage_bits(), bits);
+        assert!(t.check_invariants().is_ok());
+        // An unshuffled table equals a decoded (materialized) identity.
+        let decoded = RemapTable::from_mapping(&(0..8).collect::<Vec<u32>>(), 0).unwrap();
+        assert!(decoded.is_materialized());
+        assert_eq!(decoded, RemapTable::new(8));
+    }
+
+    #[test]
+    #[should_panic]
+    fn identity_da_of_out_of_range_panics() {
+        let _ = RemapTable::new(8).da_of(8);
+    }
+
+    #[test]
+    #[should_panic]
+    fn identity_pa_of_out_of_range_panics() {
+        let _ = RemapTable::new(8).pa_of(9);
     }
 
     #[test]

@@ -287,7 +287,10 @@ mod tests {
         assert_eq!(b.open_row(), Some(3));
     }
 
+    // This test and the next two check `debug_assert!`s, which release
+    // builds compile out.
     #[test]
+    #[cfg(debug_assertions)]
     #[should_panic]
     fn double_act_panics_in_debug() {
         let t = tp();
@@ -297,6 +300,7 @@ mod tests {
     }
 
     #[test]
+    #[cfg(debug_assertions)]
     #[should_panic]
     fn early_read_panics_in_debug() {
         let t = tp();
@@ -306,6 +310,7 @@ mod tests {
     }
 
     #[test]
+    #[cfg(debug_assertions)]
     #[should_panic]
     fn read_without_open_row_panics() {
         let t = tp();

@@ -92,8 +92,9 @@ pub struct SystemConfig {
     /// behaviour (pinned by the determinism suite).
     pub trace_depth: usize,
     /// Reference-engine switch for the Row Hammer ledger: build every bank
-    /// ledger in eager mode (restores applied immediately, `hottest()` as a
-    /// full scan) instead of the default lazy stamp-based mode. Outcomes
+    /// ledger in eager mode (every subarray's rows allocated up front,
+    /// `hottest()` as a full scan) instead of the default first-touch
+    /// mode. Outcomes
     /// are bit-identical either way (pinned by the determinism suite and
     /// the conformance fuzzer's eager-ledger leg); the benches flip this on
     /// to measure what the lazy ledger buys. Normal runs leave it `false`.

@@ -23,6 +23,7 @@ use crate::traits::{AboScope, AboSpec, Mitigation, RfmAction};
 use crate::victims_of;
 use shadow_rh::RhParams;
 use shadow_sim::time::Cycle;
+use shadow_sim::RowBlocks;
 use std::collections::VecDeque;
 
 /// Which PRAC-era variant this instance models.
@@ -44,8 +45,9 @@ pub struct Prac {
     rows_per_subarray: u32,
     rows_per_bank: u32,
     /// Per-bank per-DA-row activation counters (they live in the rows, so
-    /// they count committed ACTs, not controller-side consults).
-    counters: Vec<Vec<u32>>,
+    /// they count committed ACTs, not controller-side consults), allocated
+    /// one subarray at a time on its first ACT.
+    counters: Vec<RowBlocks<u32>>,
     /// Per-bank queue of rows whose counters crossed, awaiting their
     /// recovery refresh.
     alerted: Vec<VecDeque<u32>>,
@@ -90,7 +92,7 @@ impl Prac {
             blast_radius: rh.blast_radius,
             rows_per_subarray,
             rows_per_bank,
-            counters: vec![vec![0; rows_per_bank as usize]; banks],
+            counters: vec![RowBlocks::new(rows_per_bank, rows_per_subarray); banks],
             alerted: vec![VecDeque::new(); banks],
             alerts: 0,
         }
@@ -130,7 +132,7 @@ impl Mitigation for Prac {
     }
 
     fn on_act_issued(&mut self, bank: usize, da_row: u32) -> bool {
-        let c = &mut self.counters[bank][da_row as usize];
+        let c = self.counters[bank].get_mut(da_row);
         *c += 1;
         if *c >= self.threshold {
             *c = 0;
@@ -212,6 +214,18 @@ mod tests {
         assert_eq!(p.alerts(), 1);
         // Counter reset on the crossing: the next ACT starts from 1.
         assert!(!p.on_act_issued(0, 5));
+    }
+
+    #[test]
+    fn counters_allocate_only_activated_subarrays() {
+        let mut p = prac();
+        assert!(p.counters.iter().all(|c| c.allocated_blocks() == 0));
+        assert_eq!(p.counters[0].get(63), 0, "untouched counter reads zero");
+        assert_eq!(p.on_recovery_rfm(0), RfmAction::default());
+        p.on_act_issued(1, 20);
+        assert_eq!(p.counters[1].get(20), 1);
+        assert_eq!(p.counters[0].allocated_blocks(), 0);
+        assert_eq!(p.counters[1].allocated_blocks(), 1, "one 16-row subarray");
     }
 
     #[test]

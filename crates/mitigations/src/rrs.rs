@@ -23,9 +23,9 @@ pub const SWAP_BLOCK_NS: f64 = 4000.0;
 #[derive(Debug)]
 pub struct Rrs {
     trackers: Vec<MisraGries>,
-    /// Per-bank PA→DA indirection (the Row Indirection Table).
+    /// Per-bank PA→DA indirection (the Row Indirection Table); empty while
+    /// the bank has never swapped, which reads as the identity.
     fwd: Vec<Vec<u32>>,
-    inv: Vec<Vec<u32>>,
     threshold: u64,
     rows_per_bank: u32,
     /// Per-bank swap-partner streams (disjoint PRINCE counter windows via
@@ -53,8 +53,7 @@ impl Rrs {
         let entries = ((2_097_152 / threshold).clamp(64, 8192)) as usize;
         Rrs {
             trackers: (0..banks).map(|_| MisraGries::new(entries)).collect(),
-            fwd: (0..banks).map(|_| (0..rows_per_bank).collect()).collect(),
-            inv: (0..banks).map(|_| (0..rows_per_bank).collect()).collect(),
+            fwd: vec![Vec::new(); banks],
             threshold,
             rows_per_bank,
             rngs: (0..banks)
@@ -87,12 +86,12 @@ impl Rrs {
     }
 
     fn swap_rows(&mut self, bank: usize, pa_a: u32, pa_b: u32) -> (u32, u32) {
-        let da_a = self.fwd[bank][pa_a as usize];
-        let da_b = self.fwd[bank][pa_b as usize];
-        self.fwd[bank][pa_a as usize] = da_b;
-        self.fwd[bank][pa_b as usize] = da_a;
-        self.inv[bank][da_a as usize] = pa_b;
-        self.inv[bank][da_b as usize] = pa_a;
+        let fwd = &mut self.fwd[bank];
+        if fwd.is_empty() {
+            *fwd = (0..self.rows_per_bank).collect();
+        }
+        let (da_a, da_b) = (fwd[pa_a as usize], fwd[pa_b as usize]);
+        fwd.swap(pa_a as usize, pa_b as usize);
         self.swaps += 1;
         self.epochs[bank] += 1;
         (da_a, da_b)
@@ -105,7 +104,13 @@ impl Mitigation for Rrs {
     }
 
     fn translate(&mut self, bank: usize, pa_row: u32) -> u32 {
-        self.fwd[bank][pa_row as usize]
+        let fwd = &self.fwd[bank];
+        if fwd.is_empty() {
+            assert!(pa_row < self.rows_per_bank, "row {pa_row} out of range");
+            pa_row
+        } else {
+            fwd[pa_row as usize]
+        }
     }
 
     fn remap_epoch(&self, bank: usize) -> u64 {
@@ -144,7 +149,6 @@ impl Mitigation for Rrs {
         }
         let mut trackers = std::mem::take(&mut self.trackers).into_iter();
         let mut fwd = std::mem::take(&mut self.fwd).into_iter();
-        let mut inv = std::mem::take(&mut self.inv).into_iter();
         let mut rngs = std::mem::take(&mut self.rngs).into_iter();
         let mut epochs = std::mem::take(&mut self.epochs).into_iter();
         let (threshold, rows, entries) = (self.threshold, self.rows_per_bank, self.tracker_entries);
@@ -154,7 +158,6 @@ impl Mitigation for Rrs {
                     Box::new(Rrs {
                         trackers: trackers.by_ref().take(banks_per_channel).collect(),
                         fwd: fwd.by_ref().take(banks_per_channel).collect(),
-                        inv: inv.by_ref().take(banks_per_channel).collect(),
                         threshold,
                         rows_per_bank: rows,
                         rngs: rngs.by_ref().take(banks_per_channel).collect(),
@@ -223,6 +226,29 @@ mod tests {
             m.on_activate(0, 7, i);
         }
         assert_eq!(m.translate(1, 7), 7, "bank 1 should be untouched");
+        assert!(!m.fwd[0].is_empty() && m.fwd[1].is_empty());
+    }
+
+    #[test]
+    fn identity_without_table_until_first_swap() {
+        let mut m = rrs();
+        for pa in [0, 7, 1023] {
+            assert_eq!(m.translate(0, pa), pa);
+            assert_eq!(m.translate(1, pa), pa);
+        }
+        // Sub-threshold activity never builds a table.
+        for i in 0..50u64 {
+            m.on_activate(0, 7, i);
+        }
+        assert_eq!(m.swap_count(), 0);
+        assert!(m.fwd.iter().all(Vec::is_empty));
+        assert_eq!(m.remap_epoch(0), 0);
+    }
+
+    #[test]
+    #[should_panic]
+    fn identity_translate_out_of_range_panics() {
+        let _ = rrs().translate(0, 1024);
     }
 
     #[test]

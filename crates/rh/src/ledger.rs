@@ -12,26 +12,31 @@
 //! rows (SHADOW, RRS) translate PA→DA before calling in, which is exactly
 //! how physical adjacency works on a real part.
 //!
-//! ## Lazy restores
+//! ## First-touch storage
 //!
-//! Restores only ever *zero* state, so they commute with each other and
-//! can be deferred until the next time a row is touched. The ledger
-//! exploits this: [`restore_all`](HammerLedger::restore_all) and aligned
-//! [`restore_block`](HammerLedger::restore_block) calls are O(1) stamp
-//! bumps on a monotone restore clock, and each row records the clock value
-//! at which its accumulator was last materialized. A row whose stamp is
-//! older than the newest restore covering it reads as zero; the zeroing is
-//! applied physically on the next deposit. Because a row's pressure is
-//! always the same left-to-right `f64` sum of the deposits since its last
-//! covering restore, the lazy ledger is *bit-identical* to the eager one —
-//! pressures, flip records, flip order, and `at_act` tags all match.
+//! A bank has tens of thousands of rows, but a simulated slice activates
+//! rows in only a few of its subarrays. The ledger therefore keeps one
+//! `f64` accumulator per row in per-subarray blocks ([`RowBlocks`]) that
+//! are allocated on the subarray's first ACT. A row of an absent block
+//! reads as zero, and a restore of it is a no-op: disturbance never
+//! crosses subarrays, so a row outside every activated subarray has
+//! nothing to restore. Restores zero only the allocated rows they cover,
+//! so a REF costs at most its own row count.
 //!
-//! A construction-time eager mode ([`HammerLedger::new_eager`]) keeps the
-//! original scan-everything implementation alive as a differential
-//! reference; the equivalence tests below and the conformance fuzzer's
-//! `eager-ledger` leg pin lazy == eager.
+//! A row's "already flipped" flag is not stored: between restores its
+//! accumulator only grows (weights are non-negative) and starts at zero,
+//! below `H_cnt` (which is positive), so the row has flipped exactly when
+//! its accumulator is at or above `H_cnt`. A flip is recorded when a
+//! deposit carries the accumulator across `H_cnt`.
+//!
+//! A construction-time eager mode ([`HammerLedger::new_eager`]) allocates
+//! every block up front and finds [`hottest`](HammerLedger::hottest) by
+//! scanning every row, as a differential reference; the equivalence tests
+//! in `tests/lazy_eager_equivalence.rs` and the conformance fuzzer's
+//! `eager-ledger` leg pin first-touch == eager.
 
 use crate::model::RhParams;
+use shadow_sim::RowBlocks;
 
 /// A recorded Row Hammer bit-flip.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -46,31 +51,11 @@ pub struct BitFlip {
 #[derive(Debug, Clone)]
 pub struct HammerLedger {
     params: RhParams,
-    rows: u32,
-    rows_per_subarray: u32,
-    /// Accumulated effective disturbance per row since its last restore.
-    pressure: Vec<f64>,
-    /// Rows already recorded as flipped (suppress duplicates until restored).
-    flipped: Vec<bool>,
-    /// Restore-clock value at which `pressure[i]`/`flipped[i]` were last
-    /// materialized (lazy mode).
-    row_stamp: Vec<u64>,
-    /// Monotone restore clock: bumped by every deferred restore.
-    clock: u64,
-    /// Clock value of the latest `restore_all`.
-    all_stamp: u64,
-    /// Block granule for deferred `restore_block` stamps (0 = not yet
-    /// fixed; adopts the first aligned block size it sees).
-    block_size: u32,
-    /// Clock value of the latest deferred restore covering each granule.
-    block_stamp: Vec<u64>,
-    /// Hot-row index: every row with a possibly-nonzero accumulator is in
-    /// here exactly once (lazy mode), so `hottest()` skips untouched rows.
-    hot: Vec<u32>,
-    in_hot: Vec<bool>,
-    /// Eager reference mode: restores zero immediately, `hottest()` scans
-    /// every row — the pre-optimization implementation, kept for
-    /// differential testing.
+    /// Accumulated effective disturbance per row since its last restore,
+    /// one block per subarray.
+    pressure: RowBlocks<f64>,
+    /// Eager reference mode: every block allocated at construction and a
+    /// full-scan `hottest()`.
     force_eager: bool,
     flips: Vec<BitFlip>,
     acts_seen: u64,
@@ -78,7 +63,8 @@ pub struct HammerLedger {
 
 impl HammerLedger {
     /// Creates a ledger for a bank of `rows` rows in subarrays of
-    /// `rows_per_subarray`.
+    /// `rows_per_subarray`. No per-row state is allocated until a
+    /// subarray's first ACT.
     ///
     /// # Panics
     ///
@@ -88,9 +74,9 @@ impl HammerLedger {
         Self::with_mode(rows, rows_per_subarray, params, false)
     }
 
-    /// Creates a ledger in eager reference mode: every restore is applied
-    /// immediately and `hottest()` scans all rows. Must be observationally
-    /// bit-identical to the default lazy mode.
+    /// Creates a ledger in eager reference mode: every subarray's state is
+    /// allocated up front and `hottest()` scans all rows. Must be
+    /// observationally bit-identical to the default first-touch mode.
     pub fn new_eager(rows: u32, rows_per_subarray: u32, params: RhParams) -> Self {
         Self::with_mode(rows, rows_per_subarray, params, true)
     }
@@ -98,19 +84,13 @@ impl HammerLedger {
     fn with_mode(rows: u32, rows_per_subarray: u32, params: RhParams, force_eager: bool) -> Self {
         assert!(rows > 0 && rows_per_subarray > 0, "ledger needs rows");
         assert_eq!(rows % rows_per_subarray, 0, "rows must tile into subarrays");
+        let mut pressure = RowBlocks::new(rows, rows_per_subarray);
+        if force_eager {
+            pressure.allocate_all();
+        }
         HammerLedger {
             params,
-            rows,
-            rows_per_subarray,
-            pressure: vec![0.0; rows as usize],
-            flipped: vec![false; rows as usize],
-            row_stamp: vec![0; rows as usize],
-            clock: 0,
-            all_stamp: 0,
-            block_size: 0,
-            block_stamp: Vec::new(),
-            hot: Vec::new(),
-            in_hot: vec![false; rows as usize],
+            pressure,
             force_eager,
             flips: Vec::new(),
             acts_seen: 0,
@@ -127,28 +107,9 @@ impl HammerLedger {
         self.force_eager
     }
 
-    /// Clock value of the newest deferred restore covering `i`.
-    #[inline]
-    fn restored_at(&self, i: usize) -> u64 {
-        let mut at = self.all_stamp;
-        if self.block_size != 0 {
-            let b = i / self.block_size as usize;
-            if b < self.block_stamp.len() && self.block_stamp[b] > at {
-                at = self.block_stamp[b];
-            }
-        }
-        at
-    }
-
-    /// Applies any deferred restore covering row `i` to its physical state.
-    #[inline]
-    fn resolve(&mut self, i: usize) {
-        let at = self.restored_at(i);
-        if at > self.row_stamp[i] {
-            self.pressure[i] = 0.0;
-            self.flipped[i] = false;
-            self.row_stamp[i] = at;
-        }
+    /// Number of subarrays whose per-row state is allocated.
+    pub fn allocated_subarrays(&self) -> usize {
+        self.pressure.allocated_blocks()
     }
 
     /// Records an activation of `row` (DA). `_cycle` tags flips for reports.
@@ -157,108 +118,77 @@ impl HammerLedger {
     ///
     /// Panics if `row` is out of range.
     pub fn on_activate(&mut self, row: u32, _cycle: u64) {
-        assert!(row < self.rows, "row {row} out of range");
+        assert!(row < self.pressure.rows(), "row {row} out of range");
         self.acts_seen += 1;
+        let rps = self.pressure.block_rows();
+        let sa = row / rps;
+        let aggr = row - sa * rps;
+        let h_cnt = self.params.h_cnt as f64;
+        let HammerLedger {
+            params,
+            pressure,
+            flips,
+            acts_seen,
+            ..
+        } = self;
+        let block = pressure.block_mut(sa as usize);
         // Activation restores the aggressor row itself.
-        self.restore(row);
-        let sa = row / self.rows_per_subarray;
-        let sa_lo = sa * self.rows_per_subarray;
-        let sa_hi = sa_lo + self.rows_per_subarray; // exclusive
-        for d in 1..=self.params.blast_radius {
-            let w = self.params.weight(d);
+        block[aggr as usize] = 0.0;
+        let mut deposit = |victim: u32, w: f64| {
+            let p = &mut block[victim as usize];
+            let before = *p;
+            *p += w;
+            if *p >= h_cnt && before < h_cnt {
+                flips.push(BitFlip {
+                    victim: sa * rps + victim,
+                    at_act: *acts_seen,
+                });
+            }
+        };
+        for d in 1..=params.blast_radius {
+            let w = params.weight(d);
             // Victim below.
-            if row >= sa_lo + d {
-                self.deposit(row - d, w);
+            if aggr >= d {
+                deposit(aggr - d, w);
             }
             // Victim above.
-            if row + d < sa_hi {
-                self.deposit(row + d, w);
+            if aggr + d < rps {
+                deposit(aggr + d, w);
             }
-        }
-    }
-
-    fn deposit(&mut self, victim: u32, w: f64) {
-        let i = victim as usize;
-        self.resolve(i);
-        self.pressure[i] += w;
-        if !self.force_eager && !self.in_hot[i] {
-            self.in_hot[i] = true;
-            self.hot.push(victim);
-        }
-        if self.pressure[i] >= self.params.h_cnt as f64 && !self.flipped[i] {
-            self.flipped[i] = true;
-            self.flips.push(BitFlip {
-                victim,
-                at_act: self.acts_seen,
-            });
         }
     }
 
     /// Restores `row` (refresh / TRR / incremental refresh / own ACT):
     /// clears its accumulator and re-arms flip detection.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `row` is out of range.
     pub fn restore(&mut self, row: u32) {
-        let i = row as usize;
-        self.pressure[i] = 0.0;
-        self.flipped[i] = false;
-        // Supersede any pending deferred restore (they all zero too, so
-        // this only saves the resolve work later).
-        self.row_stamp[i] = self.clock;
+        assert!(row < self.pressure.rows(), "row {row} out of range");
+        self.restore_block(row, 1);
     }
 
     /// Restores a contiguous block of rows (one REF command's coverage).
-    ///
-    /// Aligned calls (the steady-state refresh pattern: `start` a multiple
-    /// of a fixed `count`) are O(1) deferred stamps; anything irregular
-    /// falls back to the eager per-row loop.
+    /// Rows past the end of the bank are ignored.
     pub fn restore_block(&mut self, start: u32, count: u32) {
-        let end = (start + count).min(self.rows);
-        if start >= end {
-            return;
-        }
-        if self.force_eager {
-            for r in start..end {
-                self.restore(r);
+        let end = start.saturating_add(count).min(self.pressure.rows());
+        let rps = self.pressure.block_rows();
+        let mut r = start;
+        while r < end {
+            let sa = r / rps;
+            let stop = end.min((sa + 1) * rps);
+            if let Some(block) = self.pressure.existing_block_mut(sa as usize) {
+                block[(r - sa * rps) as usize..(stop - sa * rps) as usize].fill(0.0);
             }
-            return;
-        }
-        if start == 0 && end == self.rows {
-            self.restore_all();
-            return;
-        }
-        // Adopt the first aligned granule we see as the block size.
-        if self.block_size == 0 && count > 0 && start.is_multiple_of(count) {
-            self.block_size = count;
-            let granules = (self.rows as usize).div_ceil(count as usize);
-            self.block_stamp = vec![0; granules];
-        }
-        let bs = self.block_size;
-        if bs != 0
-            && start.is_multiple_of(bs)
-            && ((end - start).is_multiple_of(bs) || end == self.rows)
-        {
-            self.clock += 1;
-            let first = (start / bs) as usize;
-            let last = (end as usize).div_ceil(bs as usize);
-            for b in first..last {
-                self.block_stamp[b] = self.clock;
-            }
-        } else {
-            // Irregular span: restore eagerly (rare; tests and ad-hoc
-            // callers only).
-            for r in start..end {
-                self.restore(r);
-            }
+            r = stop;
         }
     }
 
     /// Restores every row (a full refresh window has elapsed).
     pub fn restore_all(&mut self) {
-        if self.force_eager {
-            self.pressure.iter_mut().for_each(|p| *p = 0.0);
-            self.flipped.iter_mut().for_each(|f| *f = false);
-        } else {
-            self.clock += 1;
-            self.all_stamp = self.clock;
+        for block in self.pressure.allocated_mut() {
+            block.fill(0.0);
         }
     }
 
@@ -272,39 +202,40 @@ impl HammerLedger {
         self.flips.clear();
     }
 
-    /// Current accumulated disturbance of `row`.
+    /// Current accumulated disturbance of `row` (zero for a row of a
+    /// never-activated subarray).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `row` is out of range.
     pub fn pressure(&self, row: u32) -> f64 {
-        let i = row as usize;
-        if self.restored_at(i) > self.row_stamp[i] {
-            0.0
-        } else {
-            self.pressure[i]
-        }
+        self.pressure.get(row)
     }
 
     /// The highest-pressure row and its accumulator value.
     ///
     /// Ties break to the highest row index, and an all-zero ledger reports
     /// the last row — exactly the `Iterator::max_by` behaviour of the
-    /// original full scan, which the hot-index path must replicate.
+    /// eager full scan, which the allocated-blocks scan must replicate.
     pub fn hottest(&self) -> (u32, f64) {
         if self.force_eager {
             let (i, p) = self
                 .pressure
-                .iter()
+                .allocated()
+                .flat_map(|(_, block)| block.iter())
                 .enumerate()
                 .max_by(|a, b| a.1.partial_cmp(b.1).expect("pressure is never NaN"))
                 .expect("ledger has rows");
             return (i as u32, *p);
         }
-        // Only rows in the hot index can have nonzero effective pressure;
-        // everything else ties at 0.0, where the full scan would settle on
-        // the last row.
-        let mut best = (self.rows - 1, 0.0f64);
-        for &r in &self.hot {
-            let p = self.pressure(r);
-            if p > best.1 || (p == best.1 && r > best.0) {
-                best = (r, p);
+        // Rows of absent blocks tie at 0.0, where the full scan would
+        // settle on the last row.
+        let mut best = (self.pressure.rows() - 1, 0.0f64);
+        for (first, block) in self.pressure.allocated() {
+            for (r, &p) in (first..).zip(block) {
+                if p > best.1 || (p == best.1 && r > best.0) {
+                    best = (r, p);
+                }
             }
         }
         best
@@ -470,7 +401,7 @@ mod tests {
     }
 
     #[test]
-    fn lazy_restore_all_defers_but_reads_zero() {
+    fn restore_all_reads_zero() {
         let mut l = ledger();
         for _ in 0..50 {
             l.on_activate(8, 0);
@@ -483,7 +414,7 @@ mod tests {
     }
 
     #[test]
-    fn lazy_restore_block_unaligned_falls_back() {
+    fn restore_block_unaligned_span() {
         let mut l = ledger();
         for _ in 0..50 {
             l.on_activate(8, 0);
@@ -496,18 +427,18 @@ mod tests {
     }
 
     #[test]
-    fn lazy_block_then_single_restore_interleave() {
+    fn block_then_single_restore_interleave() {
         let mut l = ledger();
         for _ in 0..30 {
             l.on_activate(8, 0);
         }
-        l.restore_block(0, 16); // deferred stamp
+        l.restore_block(0, 16);
         for _ in 0..5 {
             l.on_activate(8, 0); // re-deposits on restored rows
         }
         assert_eq!(l.pressure(7), 5.0);
         assert_eq!(l.pressure(9), 5.0);
-        l.restore(7); // eager single restore after the stamp
+        l.restore(7);
         assert_eq!(l.pressure(7), 0.0);
         assert_eq!(l.pressure(9), 5.0);
     }
@@ -515,7 +446,7 @@ mod tests {
     #[test]
     fn hottest_ties_break_to_highest_index_like_full_scan() {
         // Rows 7 and 9 tie; the eager full scan (Iterator::max_by) keeps
-        // the last maximum, so the hot-index path must report row 9.
+        // the last maximum, so the allocated-blocks scan must report row 9.
         let mut lazy = ledger();
         let mut eager = HammerLedger::new_eager(64, 16, RhParams::new(100, 3));
         for _ in 0..10 {

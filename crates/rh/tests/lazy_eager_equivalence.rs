@@ -1,6 +1,8 @@
-//! Differential property tests: the lazy stamp-based [`HammerLedger`]
-//! must be observationally bit-identical to the eager reference mode
-//! under arbitrary interleavings of activations and restores.
+//! Differential property tests: the first-touch [`HammerLedger`] must be
+//! observationally bit-identical to the eager reference mode (every
+//! subarray allocated up front) under arbitrary interleavings of
+//! activations and restores, including restores of never-activated
+//! subarrays.
 //!
 //! Inputs come from the workspace's deterministic `Xoshiro256` generator
 //! (fixed seeds), keeping every failure reproducible without an external
@@ -57,14 +59,14 @@ fn run_episode(seed: u64, rows: u32, rows_per_subarray: u32, params: RhParams, o
                 eager.restore(row);
             }
             80..=89 => {
-                // Aligned block restore: the fast deferred path.
+                // Aligned block restore: the refresh engine's shape.
                 let blocks = rows / granule;
                 let start = gen.gen_range(0, blocks as u64) as u32 * granule;
                 lazy.restore_block(start, granule);
                 eager.restore_block(start, granule);
             }
             90..=94 => {
-                // Ragged block restore: exercises the eager fallback.
+                // Ragged block restore: may span subarrays and the end.
                 let start = gen.gen_range(0, rows as u64) as u32;
                 let count = gen.gen_range(1, 2 * rows as u64) as u32;
                 lazy.restore_block(start, count);
@@ -107,7 +109,7 @@ fn lazy_matches_eager_single_subarray() {
 
 /// The refresh-engine shape specifically: periodic aligned block restores
 /// sweeping the bank, as `MemSystem` drives them, with heavy hammering in
-/// between — the exact pattern the deferred stamps are optimized for.
+/// between, so REFs land on both allocated and absent subarrays.
 #[test]
 fn lazy_matches_eager_refresh_sweep() {
     for case in 0..cases(16) as u64 {
@@ -136,4 +138,63 @@ fn lazy_matches_eager_refresh_sweep() {
             );
         }
     }
+}
+
+/// A never-activated ledger allocates nothing and reads as all zero; the
+/// all-zero `hottest()` still reports the last row, as the eager scan does.
+#[test]
+fn untouched_ledger_reads_zero_without_allocating() {
+    let (rows, rps) = (65_536, 512);
+    let mut lazy = HammerLedger::new(rows, rps, RhParams::new(1024, 3));
+    let eager = HammerLedger::new_eager(1024, 512, RhParams::new(1024, 3));
+    assert_eq!(lazy.allocated_subarrays(), 0);
+    assert_eq!(eager.allocated_subarrays(), 2);
+    for r in [0, 1, rps - 1, rps, rows / 2, rows - 1] {
+        assert_eq!(lazy.pressure(r).to_bits(), 0.0f64.to_bits(), "row {r}");
+    }
+    assert_eq!(lazy.hottest(), (rows - 1, 0.0));
+    assert_eq!(eager.hottest(), (1023, 0.0));
+    // Restores of absent subarrays stay no-ops and allocate nothing.
+    lazy.restore(7);
+    lazy.restore_block(0, 8);
+    lazy.restore_block(rows - 4, 64);
+    lazy.restore_all();
+    assert_eq!(lazy.allocated_subarrays(), 0);
+    assert_eq!(lazy.hottest(), (rows - 1, 0.0));
+    // The first ACT allocates exactly its own subarray.
+    lazy.on_activate(rps + 3, 0);
+    assert_eq!(lazy.allocated_subarrays(), 1);
+    assert_eq!(lazy.pressure(rps + 2), 1.0);
+    assert_eq!(lazy.pressure(rps - 1), 0.0, "disturbance crossed subarrays");
+}
+
+/// Restores issued before a subarray's first deposit (every kind, on the
+/// rows about to be hammered) leave the later history exactly as in the
+/// eager ledger, whose rows were allocated all along.
+#[test]
+fn restores_before_first_deposit_match_eager() {
+    let (rows, rps) = (64, 16);
+    let params = RhParams::new(8, 2);
+    let mut lazy = HammerLedger::new(rows, rps, params);
+    let mut eager = HammerLedger::new_eager(rows, rps, params);
+    for l in [&mut lazy, &mut eager] {
+        l.restore(20);
+        l.restore_block(16, 8);
+        l.restore_block(30, 40);
+        l.restore_all();
+    }
+    assert_eq!(lazy.allocated_subarrays(), 0);
+    assert_same(&lazy, &eager, rows, "before any ACT");
+    for i in 0..40u32 {
+        let row = if i % 2 == 0 { 19 } else { 21 };
+        lazy.on_activate(row, i as u64);
+        eager.on_activate(row, i as u64);
+        if i == 25 {
+            lazy.restore_block(16, 8);
+            eager.restore_block(16, 8);
+        }
+        assert_same(&lazy, &eager, rows, &format!("act {i}"));
+    }
+    assert!(!lazy.flips().is_empty(), "row 20 should flip");
+    assert_eq!(lazy.allocated_subarrays(), 1);
 }

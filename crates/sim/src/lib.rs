@@ -20,6 +20,8 @@
 //!   discrete-event components.
 //! * [`calendar`] — a lazy-deletion event calendar (generation-stamped
 //!   per-index timers) for incremental schedulers.
+//! * [`blocks`] — [`RowBlocks`], per-row state allocated one block
+//!   (subarray) at a time on first write.
 //! * [`ring`] — a bounded, drop-counting append log for cheap always-on
 //!   recorders (command traces, scheduler debugging).
 //! * [`profiler`] — feature-gated hot-path phase timing (`profiler`
@@ -43,6 +45,7 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
+pub mod blocks;
 pub mod calendar;
 pub mod events;
 pub mod profiler;
@@ -51,6 +54,7 @@ pub mod rng;
 pub mod stats;
 pub mod time;
 
+pub use blocks::RowBlocks;
 pub use calendar::EventCalendar;
 pub use profiler::{Phase, PhaseProfile, PhaseTimer};
 pub use ring::RingLog;
