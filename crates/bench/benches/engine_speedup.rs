@@ -11,17 +11,6 @@
 //!    [`scaling_threads`] workers (`SHADOW_BENCH_THREADS` override),
 //!    cell-for-cell identical results required. The artifact records
 //!    `host_cpus` so the scaling number carries its hardware bound.
-//! 3. **intra-run channel sharding** — the same cells run one at a time,
-//!    but with `SystemConfig::shard_channels` stepping the four DDR4
-//!    channels on worker threads (`SHADOW_BENCH_INTRA_THREADS` override,
-//!    default `min(host CPUs, channels)`), bit-identical reports
-//!    required. This is the orthogonal axis to leg 2: it parallelizes
-//!    *inside* one simulation instead of across cells, so it helps
-//!    exactly when the sweep is too small to fill the host. On a 1-CPU
-//!    host the leg is skipped — sync overhead with no parallel hardware
-//!    measures nothing but noise — and the artifact records
-//!    `"skipped": "host_cpus=1"` so a reproduction diff can tell an
-//!    unmeasured leg from a missing one.
 //!
 //! The combined speedup (uncached-serial → cached-parallel) is the
 //! headline number. Tune the slice with `SHADOW_BENCH_REQS` (the CI smoke
@@ -30,8 +19,8 @@
 use std::time::Instant;
 
 use shadow_bench::{
-    artifact_path, banner, engine_sweep_cells, host_cpus, intra_threads, request_target,
-    run_cells_with, run_uncached, scaling_threads,
+    artifact_path, banner, engine_sweep_cells, host_cpus, request_target, run_cells_with,
+    run_uncached, scaling_threads,
 };
 
 fn json_f(v: f64) -> String {
@@ -98,34 +87,7 @@ fn main() {
     // 3. Parallel, cached.
     let (parallel, parallel_secs) = best_of(|| run_cells_with(threads, cells.clone()));
 
-    // 4. Serial sweep, channel-sharded engine inside each run — only on
-    //    hosts with real parallel hardware. The env knob would also reach
-    //    the runs through `apply_intra_threads`, but the leg sets the
-    //    config explicitly so the artifact always carries this
-    //    measurement when it can mean something.
     let channels = cells[0].0.geometry.channels as usize;
-    let intra = match intra_threads() {
-        Some(0) | None => cpus.min(channels).max(1),
-        Some(n) => n,
-    };
-    let intra_leg = if cpus < 2 {
-        println!(
-            "(intra-run sharding skipped: a {cpus}-CPU host has no parallel hardware for it; \
-             the artifact records the skip)"
-        );
-        None
-    } else {
-        let intra_cells: Vec<_> = cells
-            .iter()
-            .cloned()
-            .map(|(mut cfg, w, s)| {
-                cfg.shard_channels = true;
-                cfg.shard_threads = intra;
-                (cfg, w, s)
-            })
-            .collect();
-        Some(best_of(|| run_cells_with(1, intra_cells.clone())))
-    };
 
     // Fidelity gate: the fast paths must not change a single outcome.
     for (i, (u, s)) in uncached.iter().zip(&serial).enumerate() {
@@ -141,15 +103,6 @@ fn main() {
             "parallelism changed outcome of cell {i} ({:?})",
             cells[i]
         );
-    }
-    if let Some((intra_run, _)) = &intra_leg {
-        for (i, (s, p)) in serial.iter().zip(intra_run).enumerate() {
-            assert_eq!(
-                s.report, p.report,
-                "channel sharding changed outcome of cell {i} ({:?})",
-                cells[i]
-            );
-        }
     }
     println!(
         "fidelity: all {} cells bit-identical across engines",
@@ -167,13 +120,6 @@ fn main() {
     println!(
         "parallel cached : {parallel_secs:>8.2} s  ({thread_speedup:.2}x from {threads} threads)"
     );
-    if let Some((_, intra_secs)) = &intra_leg {
-        println!(
-            "intra-sharded   : {intra_secs:>8.2} s  ({:.2}x from {intra} \
-             worker(s)/run over {channels} channels)",
-            serial_secs / intra_secs
-        );
-    }
     if cpus < threads {
         println!("(thread scaling is bounded by the {cpus} host CPU(s) — the runner oversubscribes deliberately; see the host_cpus field)");
     }
@@ -186,20 +132,7 @@ fn main() {
     // Hand-rolled JSON (the workspace carries no serde): the throughput
     // artifact reproduction runs diff against. `host_cpus` contextualizes
     // the parallel_runner number: scaling cannot exceed the host's CPU
-    // count no matter how many workers the sweep spawns. The intra leg is
-    // a nested object so a skip carries its reason instead of silently
-    // nulling three fields.
-    let intra_json = match &intra_leg {
-        Some((_, intra_secs)) => format!(
-            "{{\n    \"skipped\": null,\n    \"threads\": {},\n    \"wall_secs\": {},\n    \
-             \"speedup\": {},\n    \"sim_cycles_per_sec\": {}\n  }}",
-            intra,
-            json_f(*intra_secs),
-            json_f(serial_secs / intra_secs),
-            json_f(sim_cycles as f64 / intra_secs),
-        ),
-        None => format!("{{ \"skipped\": \"host_cpus={cpus}\" }}"),
-    };
+    // count no matter how many workers the sweep spawns.
     let json = format!(
         "{{\n  \"sweep_cells\": {},\n  \"requests_per_cell\": {},\n  \"threads\": {},\n  \
          \"channels\": {},\n  \"host_cpus\": {},\n  \
@@ -208,8 +141,7 @@ fn main() {
          }},\n  \"speedup\": {{\n    \
          \"engine_fast_paths\": {},\n    \"parallel_runner\": {},\n    \"combined\": {}\n  }},\n  \
          \"sim_cycles_per_sec\": {{\n    \"serial_uncached\": {},\n    \"serial_cached\": {},\n    \
-         \"parallel_cached\": {}\n  }},\n  \"intra_parallel\": {},\n  \
-         \"provenance\": {},\n  \
+         \"parallel_cached\": {}\n  }},\n  \"provenance\": {},\n  \
          \"bit_identical\": true\n}}\n",
         cells.len(),
         request_target(),
@@ -226,7 +158,6 @@ fn main() {
         json_f(sim_cycles as f64 / uncached_secs),
         json_f(sim_cycles as f64 / serial_secs),
         json_f(sim_cycles as f64 / parallel_secs),
-        intra_json,
         shadow_bench::provenance_json(),
     );
     let path = artifact_path("BENCH_engine.json");

@@ -90,58 +90,6 @@ fn parallel_sweep_equals_serial() {
     }
 }
 
-/// The channel-sharded engine is pure performance work too: at any worker
-/// count it must produce the byte-identical report *and* command trace of
-/// the serial engine. Exercised on the 4-channel DDR4 config with the two
-/// schemes that remap rows mid-run (a stale per-channel mitigation piece
-/// or a mis-ordered merge would diverge within one tREFI) plus the
-/// PRAC-era schemes, whose per-channel pieces carry live counter/tracker
-/// state and whose ABO recovery drain must replay identically through the
-/// sharded coordinator's record/apply split.
-#[test]
-fn sharded_engine_equals_serial_at_any_thread_count() {
-    let mut cfg = SystemConfig::ddr4_actual_system();
-    cfg.target_requests = 2_000;
-    cfg.trace_depth = 1 << 20;
-    for scheme in [
-        Scheme::Shadow,
-        Scheme::Rrs,
-        Scheme::Prac,
-        Scheme::Practical,
-        Scheme::Dapper,
-    ] {
-        let run_with = |shard_threads: Option<usize>| {
-            let mut cfg = cfg;
-            if let Some(t) = shard_threads {
-                cfg.shard_channels = true;
-                cfg.shard_threads = t;
-            }
-            let streams = shadow_bench::workload("random-stream", &cfg, 0xACE0_000D);
-            let mut sys =
-                MemSystem::new(cfg, streams, shadow_bench::build_mitigation(scheme, &cfg));
-            assert_eq!(sys.sharding_active(), shard_threads.is_some());
-            let report = sys.run();
-            (report, sys.take_trace().expect("tracing enabled"))
-        };
-        let (serial_report, serial_trace) = run_with(None);
-        for threads in [1, 2, 4] {
-            let (report, trace) = run_with(Some(threads));
-            assert_eq!(
-                serial_report,
-                report,
-                "{} report diverged at {threads} shard worker(s)",
-                scheme.name()
-            );
-            assert_eq!(
-                serial_trace,
-                trace,
-                "{} command trace diverged at {threads} shard worker(s)",
-                scheme.name()
-            );
-        }
-    }
-}
-
 /// The event-calendar engine (the default) is pure performance work: its
 /// lazy heap — stale entries discarded on pop, seq-counter invalidation,
 /// monotone-later couplings left unrepaired — must produce the
@@ -150,56 +98,80 @@ fn sharded_engine_equals_serial_at_any_thread_count() {
 /// schemes that remap rows mid-run, where a stale frontier event landing
 /// one cycle late would steer FR-FCFS at the first shuffle or swap, plus
 /// DAPPER, whose decrement-on-RFM tracker ties eviction state to exact
-/// RFM cycles. (PRAC/PRACtical get the same four-engine agreement check,
-/// with ABO recovery actually firing, in
+/// RFM cycles. The second input is the 4-channel DDR4 config: with every
+/// channel busy it also pins the coordinator's canonical channel-order
+/// merge of commands and completions, and it adds PRAC/PRACtical, whose
+/// ABO recovery drain rides the refresh-phase command slot. (Their recovery only fires in
 /// `crates/memsys/tests/properties.rs::prac_abo_recovery_engines_agree` —
-/// this config's spread stream never trips a per-row counter.)
+/// these spread streams never trip a per-row counter.)
 #[test]
 fn calendar_engine_equals_walk_and_scan() {
-    let mut cfg = small_cfg();
-    cfg.trace_depth = 1 << 20;
-    for scheme in [Scheme::Shadow, Scheme::Rrs, Scheme::Dapper] {
-        let run_with = |walk: bool, scan: bool| {
-            let mut cfg = cfg;
-            cfg.force_frontier_walk = walk;
-            cfg.force_full_scan = scan;
-            let streams = shadow_bench::workload("random-stream", &cfg, 0xACE0_00CA);
-            let mut sys =
-                MemSystem::new(cfg, streams, shadow_bench::build_mitigation(scheme, &cfg));
-            let report = sys.run();
-            (report, sys.take_trace().expect("tracing enabled"))
-        };
-        let (cal_report, cal_trace) = run_with(false, false);
-        let (walk_report, walk_trace) = run_with(true, false);
-        let (scan_report, scan_trace) = run_with(false, true);
-        assert!(
-            cal_report.commands.get("RFM") > 0 || cal_report.channel_blocked_cycles > 0,
-            "run too small: no mid-run remaps exercised the calendar"
-        );
-        assert_eq!(
-            cal_report,
-            walk_report,
-            "calendar diverged from frontier walk under {}",
-            scheme.name()
-        );
-        assert_eq!(
-            cal_trace,
-            walk_trace,
-            "calendar trace diverged from frontier walk under {}",
-            scheme.name()
-        );
-        assert_eq!(
-            cal_report,
-            scan_report,
-            "calendar diverged from full scan under {}",
-            scheme.name()
-        );
-        assert_eq!(
-            cal_trace,
-            scan_trace,
-            "calendar trace diverged from full scan under {}",
-            scheme.name()
-        );
+    let mut ddr4 = SystemConfig::ddr4_actual_system();
+    ddr4.target_requests = 2_000;
+    let inputs: [(SystemConfig, u64, &[Scheme]); 2] = [
+        (
+            small_cfg(),
+            0xACE0_00CA,
+            &[Scheme::Shadow, Scheme::Rrs, Scheme::Dapper],
+        ),
+        (
+            ddr4,
+            0xACE0_000D,
+            &[
+                Scheme::Shadow,
+                Scheme::Rrs,
+                Scheme::Prac,
+                Scheme::Practical,
+                Scheme::Dapper,
+            ],
+        ),
+    ];
+    for (mut cfg, seed, schemes) in inputs {
+        cfg.trace_depth = 1 << 20;
+        let channels = cfg.geometry.channels;
+        for &scheme in schemes {
+            let run_with = |walk: bool, scan: bool| {
+                let mut cfg = cfg;
+                cfg.force_frontier_walk = walk;
+                cfg.force_full_scan = scan;
+                let streams = shadow_bench::workload("random-stream", &cfg, seed);
+                let mut sys =
+                    MemSystem::new(cfg, streams, shadow_bench::build_mitigation(scheme, &cfg));
+                let report = sys.run();
+                (report, sys.take_trace().expect("tracing enabled"))
+            };
+            let (cal_report, cal_trace) = run_with(false, false);
+            let (walk_report, walk_trace) = run_with(true, false);
+            let (scan_report, scan_trace) = run_with(false, true);
+            let what = format!("{} on {channels} channel(s)", scheme.name());
+            if channels == 1 {
+                assert!(
+                    cal_report.commands.get("RFM") > 0 || cal_report.channel_blocked_cycles > 0,
+                    "run too small: no mid-run remaps exercised the calendar ({what})"
+                );
+            } else {
+                assert!(
+                    cal_report.channel_busy_cycles.iter().all(|&c| c > 0),
+                    "some channel stayed idle, so the merge was not exercised ({what})"
+                );
+            }
+            assert_eq!(
+                cal_report, walk_report,
+                "calendar diverged from frontier walk under {what}"
+            );
+            assert_eq!(
+                cal_trace, walk_trace,
+                "calendar trace diverged from frontier walk under {what}"
+            );
+            assert_eq!(
+                cal_report, scan_report,
+                "calendar diverged from full scan under {what}"
+            );
+            assert_eq!(
+                cal_trace, scan_trace,
+                "calendar trace diverged from full scan under {what}"
+            );
+        }
     }
 }
 

@@ -418,6 +418,27 @@ pub struct Scenario {
     pub mlp: Option<usize>,
 }
 
+impl Scenario {
+    /// Cells this grid expands to; `None` when the product overflows.
+    fn cell_count(&self) -> Option<usize> {
+        [
+            self.workloads.len(),
+            self.schemes.len(),
+            self.requests.len().max(1),
+            self.h_cnt.len().max(1),
+            self.blast.len().max(1),
+            self.engine.len().max(1),
+        ]
+        .iter()
+        .try_fold(1usize, |n, &k| n.checked_mul(k))
+    }
+}
+
+/// Most cells one recipe may expand to. [`Recipe::parse`] rejects a
+/// larger grid before anything is allocated for it, so a hostile or
+/// mistyped submission cannot exhaust memory in [`Recipe::expand`].
+pub const MAX_CELLS: usize = 10_000;
+
 /// Where progress events go.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub enum EventsOut {
@@ -749,6 +770,19 @@ impl Recipe {
         if scenarios.is_empty() {
             return err("recipe declares no scenarios");
         }
+        let mut total = 0usize;
+        for (si, s) in scenarios.iter().enumerate() {
+            total = s
+                .cell_count()
+                .and_then(|n| total.checked_add(n))
+                .filter(|&n| n <= MAX_CELLS)
+                .ok_or_else(|| {
+                    RecipeError(format!(
+                        "[[scenario]] #{si}: grid too large: the recipe would expand to \
+                         more than {MAX_CELLS} cells"
+                    ))
+                })?;
+        }
 
         let mut reporting = Reporting::default();
         if let Some(r) = tree.get("reporting") {
@@ -830,19 +864,13 @@ impl Recipe {
         Ok(recipe)
     }
 
-    /// Number of cells this recipe expands to.
+    /// Number of cells this recipe expands to (at most [`MAX_CELLS`] for
+    /// a parsed recipe; saturating for a hand-built one).
     pub fn cell_count(&self) -> usize {
         self.scenarios
             .iter()
-            .map(|s| {
-                s.workloads.len()
-                    * s.schemes.len()
-                    * s.requests.len().max(1)
-                    * s.h_cnt.len().max(1)
-                    * s.blast.len().max(1)
-                    * s.engine.len().max(1)
-            })
-            .sum()
+            .map(|s| s.cell_count().unwrap_or(usize::MAX))
+            .fold(0, usize::saturating_add)
     }
 
     /// Expands the scenario grids into the flat, ordered, fingerprinted
@@ -1089,6 +1117,46 @@ engine = ["warp-drive"]
         .expect_err("unknown engine");
         assert!(e.0.contains("unknown engine `warp-drive`"), "{e}");
         assert!(e.0.contains("calendar, frontier_walk, full_scan"), "{e}");
+    }
+
+    /// A `[[scenario]]` whose axes each repeat one valid entry `n` times.
+    fn grid_scenario(n: usize) -> String {
+        let list = |item: &str| vec![item; n].join(", ");
+        format!(
+            "[[scenario]]\npreset = \"tiny\"\nworkloads = [{}]\nschemes = [{}]\n\
+             requests = [{}]\nh_cnt = [{}]\nblast = [{}]\n",
+            list("\"random-stream\""),
+            list("\"baseline\""),
+            list("300"),
+            list("64"),
+            list("1"),
+        )
+    }
+
+    #[test]
+    fn oversized_grid_is_a_named_error_not_an_abort() {
+        let header = "[campaign]\nname = \"big\"\n";
+        // Five 100-entry axes: 10^10 cells, which `expand` would try to
+        // allocate in one go.
+        let e = Recipe::parse(&format!("{header}{}", grid_scenario(100)))
+            .expect_err("10^10 cells must be rejected");
+        assert!(e.0.contains("grid too large"), "{e}");
+        assert!(e.0.contains(&MAX_CELLS.to_string()), "{e}");
+        // Five 10^4-entry axes overflow `usize` outright.
+        let e = Recipe::parse(&format!("{header}{}", grid_scenario(10_000)))
+            .expect_err("an overflowing grid must be rejected");
+        assert!(e.0.contains("grid too large"), "{e}");
+        // The cap is on the whole recipe, not per scenario: two grids
+        // under it can still sum over it.
+        let near = format!("{header}{}", grid_scenario(1)).replace(
+            "schemes = [\"baseline\"]",
+            &format!("schemes = [{}]", vec!["\"baseline\""; MAX_CELLS].join(", ")),
+        );
+        let at_cap = Recipe::parse(&near).expect("exactly MAX_CELLS cells is allowed");
+        assert_eq!(at_cap.cell_count(), MAX_CELLS);
+        let e = Recipe::parse(&format!("{near}{}", grid_scenario(1)))
+            .expect_err("MAX_CELLS + 1 cells must be rejected");
+        assert!(e.0.contains("[[scenario]] #1: grid too large"), "{e}");
     }
 
     #[test]

@@ -8,7 +8,7 @@ use shadow_bench::json::Json;
 use shadow_campaign::serve::{handle_submission, serve_unix, ServeOptions};
 use std::io::{Read, Write};
 use std::os::unix::net::UnixStream;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 
 const RECIPE: &str = r#"
@@ -27,20 +27,24 @@ fn socket_path(tag: &str) -> PathBuf {
     std::env::temp_dir().join(format!("shadow-serve-{tag}-{}.sock", std::process::id()))
 }
 
-/// Drives one submission over a real Unix socket against an in-process
-/// server and returns the event lines streamed back.
-fn submit_over_socket(recipe: &str, tag: &str) -> Vec<Json> {
-    let path = socket_path(tag);
+/// Starts an in-process server on `path` that exits after `campaigns`
+/// submissions.
+fn start_server(path: &Path, campaigns: usize) -> std::thread::JoinHandle<i32> {
     let opts = ServeOptions {
-        socket: Some(path.clone()),
-        max_campaigns: Some(1),
+        socket: Some(path.to_path_buf()),
+        max_campaigns: Some(campaigns),
         base_dir: None,
     };
-    let server = std::thread::spawn(move || serve_unix(&opts));
+    std::thread::spawn(move || serve_unix(&opts))
+}
+
+/// Submits one recipe over the Unix socket at `path` and returns the
+/// event lines streamed back.
+fn submit(path: &Path, recipe: &str) -> Vec<Json> {
     // Wait for the listener to come up.
     let t0 = std::time::Instant::now();
     let mut stream = loop {
-        match UnixStream::connect(&path) {
+        match UnixStream::connect(path) {
             Ok(s) => break s,
             Err(_) if t0.elapsed() < std::time::Duration::from_secs(10) => {
                 std::thread::sleep(std::time::Duration::from_millis(20));
@@ -54,12 +58,25 @@ fn submit_over_socket(recipe: &str, tag: &str) -> Vec<Json> {
         .expect("half-close to submit");
     let mut response = String::new();
     stream.read_to_string(&mut response).unwrap();
-    assert_eq!(server.join().unwrap(), 0, "server exits 0 after serving");
     response
         .lines()
         .filter(|l| !l.trim().is_empty())
         .map(|l| Json::parse(l).unwrap_or_else(|e| panic!("bad event line `{l}`: {e}")))
         .collect()
+}
+
+/// Drives one submission over a real Unix socket against an in-process
+/// server and returns the event lines streamed back.
+fn submit_over_socket(recipe: &str, tag: &str) -> Vec<Json> {
+    let path = socket_path(tag);
+    let server = start_server(&path, 1);
+    let events = submit(&path, recipe);
+    assert_eq!(server.join().unwrap(), 0, "server exits 0 after serving");
+    events
+}
+
+fn event_kind(e: &Json) -> &str {
+    e.get("event").unwrap().as_str().unwrap()
 }
 
 #[test]
@@ -98,4 +115,37 @@ fn malformed_submission_answers_with_error_line() {
         .as_str()
         .unwrap()
         .contains("recipe error"));
+}
+
+/// A grid too large to expand (five 100-entry axes, 10^10 cells) gets an
+/// in-band error line, and the same server still runs the next
+/// submission.
+#[test]
+fn oversized_grid_answers_in_band_and_server_survives() {
+    let axis = |item: &str| vec![item; 100].join(", ");
+    let oversized = format!(
+        "[campaign]\nname = \"huge\"\n[[scenario]]\npreset = \"tiny\"\n\
+         workloads = [{}]\nschemes = [{}]\nrequests = [{}]\nh_cnt = [{}]\nblast = [{}]\n",
+        axis("\"random-stream\""),
+        axis("\"baseline\""),
+        axis("200"),
+        axis("64"),
+        axis("1"),
+    );
+    let path = socket_path("oversized");
+    let server = start_server(&path, 2);
+    let rejected = submit(&path, &oversized);
+    assert_eq!(rejected.len(), 1, "one error line: {rejected:?}");
+    assert_eq!(event_kind(&rejected[0]), "error");
+    let message = rejected[0].get("message").unwrap().as_str().unwrap();
+    assert!(message.contains("grid too large"), "{message}");
+    let events = submit(&path, RECIPE);
+    assert_eq!(events.last().map(event_kind), Some("campaign-finished"));
+    let exit_code = events.last().unwrap().get("exit_code").unwrap();
+    assert_eq!(exit_code.as_u64().unwrap(), 0, "the next submission runs");
+    assert_eq!(
+        server.join().unwrap(),
+        0,
+        "server exits 0 after two submissions"
+    );
 }

@@ -1,5 +1,5 @@
 //! Differential fuzzing: randomized (geometry, timing, workload,
-//! mitigation) cells run through eight engine variants that must agree
+//! mitigation) cells run through seven engine variants that must agree
 //! bit-for-bit, each with an oracle-clean command trace.
 //!
 //! The variants cover the engine's fast paths from both sides:
@@ -26,11 +26,10 @@
 //! 7. **unresolved-calendar** — `force_unresolved_calendar` keeps the
 //!    event calendar but defeats the per-bank resolved-decision cache and
 //!    CAS-burst streaming, re-deriving every scheduling decision through
-//!    the full `schedule_bank` tree each pass;
-//! 8. **sharded** — `shard_channels` with two workers steps each channel's
-//!    scheduler slice on its own thread, synchronizing every pass (cells
-//!    with one channel exercise the serial fallback instead — also part
-//!    of the contract).
+//!    the full `schedule_bank` tree each pass.
+//!
+//! Multi-channel cells also pin the coordinator's canonical merge of the
+//! per-channel pass results in every variant.
 //!
 //! Any divergence in [`SimReport`] or in the committed command stream
 //! between variants is an engine bug; any oracle violation in any variant
@@ -143,8 +142,6 @@ pub fn gen_case(case_seed: u64) -> FuzzCase {
         force_eager_ledger: false,
         profile: false,
         watchdog_window: 0,
-        shard_channels: false,
-        shard_threads: 0,
     };
 
     let cores = rng.gen_range(1, 4) as usize;
@@ -181,7 +178,7 @@ pub fn build_streams(case: &FuzzCase) -> Vec<Box<dyn RequestStream>> {
 }
 
 /// Engine variants compared by [`run_differential`].
-const VARIANTS: [&str; 8] = [
+const VARIANTS: [&str; 7] = [
     "cached",
     "full-scan",
     "retranslate",
@@ -189,10 +186,9 @@ const VARIANTS: [&str; 8] = [
     "frontier-walk",
     "linear-frfcfs",
     "unresolved-calendar",
-    "sharded",
 ];
 
-/// Runs one cell through all eight engine variants.
+/// Runs one cell through all seven engine variants.
 ///
 /// # Errors
 ///
@@ -224,13 +220,8 @@ pub fn run_differential(case: &FuzzCase) -> Result<(), String> {
                 cfg.force_linear_frfcfs = true;
                 base
             }
-            6 => {
-                cfg.force_unresolved_calendar = true;
-                base
-            }
             _ => {
-                cfg.shard_channels = true;
-                cfg.shard_threads = 2;
+                cfg.force_unresolved_calendar = true;
                 base
             }
         };

@@ -1,6 +1,6 @@
-//! Differential conformance sweep: randomized cells, eight engine
+//! Differential conformance sweep: randomized cells, seven engine
 //! variants (cached, full-scan, retranslate, eager-ledger,
-//! frontier-walk, linear-frfcfs, unresolved-calendar, sharded),
+//! frontier-walk, linear-frfcfs, unresolved-calendar),
 //! bit-identical reports and command streams, all oracle-clean.
 //!
 //! Case count honors `PROPTEST_CASES` (CI runs a reduced sweep); the
@@ -37,8 +37,8 @@ fn randomized_cells_agree_across_engine_variants() {
             scheme_seen.len() >= 5,
             "only {scheme_seen:?} covered in {cases} cells"
         );
-        // The sharded leg only parallelizes multi-channel cells; the
-        // generator must keep producing enough of them to pin it.
+        // Multi-channel cells pin the coordinator's canonical channel-order
+        // merge; the generator must keep producing enough of them.
         assert!(
             multi_channel >= cases / 4,
             "only {multi_channel}/{cases} cells were multi-channel"

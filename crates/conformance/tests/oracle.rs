@@ -93,8 +93,6 @@ fn oracle_catches_engine_with_weakened_tfaw() {
         force_eager_ledger: false,
         profile: false,
         watchdog_window: 0,
-        shard_channels: false,
-        shard_threads: 0,
     };
     let streams: Vec<Box<dyn RequestStream>> = (0..4)
         .map(|i| {

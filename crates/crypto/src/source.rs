@@ -13,8 +13,8 @@ use crate::prince::Prince;
 ///
 /// Implementations must be deterministic given their construction state so
 /// that security experiments are reproducible. `Send` is part of the
-/// contract: the channel-sharded simulator moves per-bank sources onto
-/// worker threads, and every implementation is plain owned data.
+/// contract, so a mitigation holding a source can move between threads;
+/// every implementation is plain owned data.
 pub trait RandomSource: std::fmt::Debug + Send {
     /// Returns the next 64 bits of the stream.
     fn next_u64(&mut self) -> u64;
@@ -51,9 +51,11 @@ pub const KEYSTREAM_BUF_BLOCKS: usize = 32;
 /// Per-bank RNG state is derived from one PRINCE-CTR stream by giving bank
 /// `b` the counter window `[b * SEED_SUBSTREAM_BLOCKS, (b + 1) *
 /// SEED_SUBSTREAM_BLOCKS)`. Equal to [`KEYSTREAM_BUF_BLOCKS`] so a single
-/// buffer refill never encrypts counters outside the owning window; since
-/// channels own disjoint bank ranges, distinct channels draw from disjoint
-/// PRINCE counter ranges by construction (pinned by a conformance proptest).
+/// buffer refill never encrypts counters outside the owning window. Distinct
+/// banks therefore draw from disjoint PRINCE counter ranges (pinned by a
+/// conformance proptest), so a bank's draws never depend on how activity
+/// interleaves across banks. Every randomized mitigation seeds from these
+/// windows, so changing them would change its reports.
 pub const SEED_SUBSTREAM_BLOCKS: u64 = KEYSTREAM_BUF_BLOCKS as u64;
 
 /// Half-open PRINCE counter range `[start, end)` owned by bank `bank`'s

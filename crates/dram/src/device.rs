@@ -29,9 +29,9 @@ pub struct IssueResult {
 /// All bank/rank/bus timing state lives in per-channel [`ChannelLane`]s
 /// (channels share no timing state); the device keeps the cross-channel
 /// bookkeeping — stats, command history, the optional conformance trace —
-/// and delegates timing queries to the owning lane. The channel-sharded
-/// simulator borrows the lanes wholesale via
-/// [`take_lanes`](DramDevice::take_lanes) for the duration of a run.
+/// and delegates timing queries to the owning lane. The memory system
+/// borrows the lanes wholesale via [`take_lanes`](DramDevice::take_lanes)
+/// for the duration of a run.
 #[derive(Debug, Clone)]
 pub struct DramDevice {
     geometry: DramGeometry,
@@ -74,7 +74,8 @@ impl DramDevice {
         }
     }
 
-    /// Moves the per-channel lanes out of the device (for a sharded run).
+    /// Moves the per-channel lanes out of the device (for the duration of a
+    /// run, during which each scheduler shard owns its channel's lane).
     ///
     /// Until [`restore_lanes`](DramDevice::restore_lanes) puts them back,
     /// timing queries panic; bookkeeping ([`record`](DramDevice::record),
@@ -218,8 +219,8 @@ impl DramDevice {
     /// without touching timing state.
     ///
     /// This is the bookkeeping half of [`issue`](DramDevice::issue); the
-    /// sharded coordinator calls it while lanes apply state transitions on
-    /// worker threads, preserving the canonical serial command order.
+    /// coordinator calls it after the shards' lanes applied the state
+    /// transitions, preserving the canonical channel-order command stream.
     pub fn record(&mut self, cmd: DramCommand, t: Cycle) {
         self.stats.inc(cmd.mnemonic());
         self.history.push((t, cmd));

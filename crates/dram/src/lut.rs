@@ -4,7 +4,7 @@
 //! group) far more often than they commit commands, and the geometry decode
 //! costs integer divisions. [`GeometryLut`] precomputes all three once so
 //! every consumer (the device's timing checks, the memory controller's
-//! frontier bookkeeping, the channel-sharded coordinator) shares one table
+//! frontier bookkeeping, the per-channel scheduler shards) shares one table
 //! instead of growing private copies.
 
 use crate::geometry::{BankId, DramGeometry};

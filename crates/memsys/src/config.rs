@@ -81,7 +81,7 @@ pub struct SystemConfig {
     /// Outcomes are bit-identical either way — a cached decision is pinned
     /// by the same seq stamps as its frontier and every gate/timing check
     /// stays live at consume time (pinned by the determinism suite and the
-    /// conformance fuzzer's `unresolved-calendar` leg, the eighth
+    /// conformance fuzzer's `unresolved-calendar` leg, the seventh
     /// variant). The hotpath bench flips this on to measure what resolved
     /// entries buy. Ignored when a reference engine is already selected.
     /// Normal runs leave it `false`.
@@ -116,25 +116,6 @@ pub struct SystemConfig {
     /// workload (compute gaps, refresh storms) — a few tREFI is a good
     /// floor.
     pub watchdog_window: Cycle,
-    /// Channel-sharded execution: step each DRAM channel's scheduler slice
-    /// on its own worker thread, synchronizing at every scheduling pass and
-    /// merging commands/completions in fixed channel order. Reports *and*
-    /// command traces are bit-identical to the serial engine (pinned by the
-    /// determinism suite and the conformance fuzzer's sharded leg). Falls
-    /// back to the serial engine when the config has a single channel, when
-    /// [`force_full_scan`](Self::force_full_scan) selects the reference
-    /// engine, or when the mitigation cannot split per-channel state
-    /// (`Mitigation::split_channels` returns `None`); query
-    /// [`MemSystem::sharding_active`](crate::MemSystem::sharding_active)
-    /// for the resolved mode. Off in every preset.
-    pub shard_channels: bool,
-    /// Worker threads for the sharded engine: `0` (every preset's default)
-    /// auto-detects the host's available parallelism; any value is clamped
-    /// to the channel count. Ignored unless
-    /// [`shard_channels`](Self::shard_channels) resolves to the sharded
-    /// engine. The thread count never changes simulated outcomes — only
-    /// wall-clock speed.
-    pub shard_threads: usize,
 }
 
 impl SystemConfig {
@@ -159,8 +140,6 @@ impl SystemConfig {
             force_eager_ledger: false,
             profile: false,
             watchdog_window: 0,
-            shard_channels: false,
-            shard_threads: 0,
         }
     }
 
@@ -184,8 +163,6 @@ impl SystemConfig {
             force_eager_ledger: false,
             profile: false,
             watchdog_window: 0,
-            shard_channels: false,
-            shard_threads: 0,
         }
     }
 
@@ -209,8 +186,6 @@ impl SystemConfig {
             force_eager_ledger: false,
             profile: false,
             watchdog_window: 0,
-            shard_channels: false,
-            shard_threads: 0,
         }
     }
 

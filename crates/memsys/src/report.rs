@@ -47,12 +47,11 @@ pub struct SimReport {
     /// issued a command (at most one per channel per cycle, so this is both
     /// a command count and a busy-cycle count). Indexed by channel; the
     /// utilization view behind [`channel_busy_shares`]
-    /// (Self::channel_busy_shares) and the sharded engine's load-balance
-    /// diagnostics.
+    /// (Self::channel_busy_shares).
     pub channel_busy_cycles: Vec<u64>,
     /// Scheduling passes the run loop executed. Engine diagnostics, not
     /// simulation state: the count depends on which engine ran (the
-    /// sharded coordinator and the serial loop pace passes differently),
+    /// full-scan reference repeats passes the fast engines short-circuit),
     /// so it is excluded from `PartialEq` like [`profile`](Self::profile).
     pub sched_passes: u64,
     /// Distinct cycles at which at least one scheduling pass ran. With
@@ -192,8 +191,8 @@ impl SimReport {
 
     /// Per-channel command-bus utilization: the fraction of simulated
     /// cycles each channel spent issuing a command. A strongly skewed
-    /// vector means channel sharding has little to parallelize (one shard
-    /// does all the work); a flat one means near-ideal shard balance.
+    /// vector means one channel carries most of the traffic; a flat one
+    /// means the address mapping spreads it evenly.
     pub fn channel_busy_shares(&self) -> Vec<f64> {
         let c = self.cycles.max(1) as f64;
         self.channel_busy_cycles
@@ -261,8 +260,9 @@ mod tests {
 
     #[test]
     fn pass_counters_are_ignored_by_equality() {
-        // Pass pacing differs between the serial and sharded coordinators;
-        // the counters are diagnostics and must not break bit-identity.
+        // Pass pacing differs between the engines (the full-scan reference
+        // repeats passes); the counters are diagnostics and must not break
+        // bit-identity.
         let a = report(vec![10], 100);
         let mut b = a.clone();
         b.sched_passes = 42;

@@ -1,18 +1,12 @@
 //! [`ChannelShard`]: one DRAM channel's slice of the memory controller.
 //!
-//! DRAM channels share no timing state, and — after the per-bank RNG
-//! substream rework in `shadow-mitigations` — no mitigation state either.
-//! Everything the scheduler owns per channel (bank queues, Row Hammer
-//! ledgers, RAA counters, the frontier memo, the channel's
-//! [`ChannelLane`]) therefore lives in a [`ChannelShard`] that can step one
-//! scheduling pass independently of its siblings.
-//!
-//! The serial engine iterates shards in ascending channel order on one
-//! thread; the sharded engine runs the *same* shard code on persistent
-//! worker threads, synchronizing at every pass. Either way the coordinator
-//! (`crate::system::MemSystem`) merges each pass's results in fixed channel
-//! order, so the two modes produce bit-identical reports and command
-//! traces.
+//! DRAM channels share no timing state. Everything the scheduler owns per
+//! channel (bank queues, Row Hammer ledgers, RAA counters, the frontier
+//! memo, the channel's [`ChannelLane`]) therefore lives in a
+//! [`ChannelShard`] that steps one scheduling pass on its own. The
+//! coordinator (`crate::system::MemSystem`) iterates the shards in
+//! ascending channel order on one thread and merges each pass's results
+//! in that fixed order.
 //!
 //! The merge stays cheap because of a proven invariant: **a channel issues
 //! at most one command per cycle.** Every issue path checks the channel's
@@ -22,9 +16,8 @@
 //! buffer.
 //!
 //! Bank indices inside a shard are channel-local (`0..banks`); the
-//! mitigation may be the *whole* scheme (serial mode — indices offset by
-//! `moff`, the shard's global bank base) or a per-channel piece from
-//! [`Mitigation::split_channels`] (sharded mode — `moff == 0`).
+//! mitigation is the whole scheme, so every consult adds the shard's
+//! global bank base (`bank_base + local`).
 //!
 //! # Scheduling engines
 //!
@@ -78,7 +71,7 @@
 //! command, admission, or consult in the window bumps a pinned counter
 //! and the next beat falls back to full re-arbitration.
 //! `SystemConfig::force_unresolved_calendar` defeats both paths (the
-//! eighth differential-fuzzer variant); debug builds additionally
+//! seventh differential-fuzzer variant); debug builds additionally
 //! re-derive every consumed decision and assert it matches.
 
 use std::collections::{HashMap, VecDeque};
@@ -147,10 +140,10 @@ pub(crate) struct QueuedReq {
     /// The translated DA row, valid while the bank sits at `cached_epoch`.
     pub cached_da: u32,
     /// The bank's remap epoch when `cached_da` was computed ([`NO_EPOCH`]
-    /// until first use — admission happens on the coordinator, which in
-    /// sharded mode has no mitigation to consult, so translation is
-    /// deferred to the owning shard; `Mitigation::translate` is a pure
-    /// lookup, so the value is identical either way).
+    /// until first use — admission does not translate, the owning shard's
+    /// first lookup does; `Mitigation::translate` is a pure lookup, so the
+    /// row is identical either way, and keeping the deferral keeps the
+    /// number of `translate` calls, a profiled count, unchanged).
     pub cached_epoch: u64,
 }
 
@@ -180,11 +173,10 @@ impl QueuedReq {
 /// per-request translation cache: a map built at epoch `e` is exact while
 /// the mitigation reports `e` (translate is contractually pure), and a
 /// remap bump ages it out by key mismatch on the next lookup. Admissions
-/// mark it dirty wholesale ([`NO_EPOCH`]) — translation is deferred to
-/// the owning shard, so the admitting coordinator cannot extend the map —
-/// and the CAS dequeue path pops the served seq from its bucket. The
+/// mark it dirty wholesale ([`NO_EPOCH`]) — admission does not translate,
+/// so it cannot extend the map — and the CAS dequeue path pops the served seq from its bucket. The
 /// `force_linear_frfcfs` reference mode never builds the index, keeping
-/// the original scan alive for the differential fuzzer's seventh leg.
+/// the original scan alive for the differential fuzzer's sixth leg.
 #[derive(Debug)]
 struct RowIndex {
     /// The remap epoch the map reflects ([`NO_EPOCH`] = dirty).
@@ -361,8 +353,6 @@ pub(crate) struct ShardReply {
     /// CAS completion to deliver: (data-done cycle, core index). `None` for
     /// posted writes (their completion was scheduled at admission).
     pub completion: Option<(Cycle, usize)>,
-    /// Requests still queued in this shard after the pass (watchdog input).
-    pub queued: usize,
 }
 
 /// One channel's scheduler slice. See the module docs.
@@ -385,7 +375,7 @@ pub(crate) struct ChannelShard {
     /// Calendar engine's resolved-entry fast path: memoize scheduling
     /// *decisions* ([`Resolved`]) alongside frontiers and consume them on
     /// the firing visit, streaming CAS bursts beat-to-beat. `false` under
-    /// `SystemConfig::force_unresolved_calendar` (the eighth fuzzer
+    /// `SystemConfig::force_unresolved_calendar` (the seventh fuzzer
     /// variant) and for the walk/scan reference engines.
     resolved: bool,
     /// Post-mitigation timing (tRCD extension, refresh multiplier applied).
@@ -588,11 +578,6 @@ impl ChannelShard {
         }
     }
 
-    /// Global id of this shard's first bank.
-    pub fn bank_base(&self) -> usize {
-        self.bank_base
-    }
-
     /// Arms the Alert Back-Off flow with the mitigation's contract.
     /// Called once at system assembly, before any traffic.
     pub fn set_abo(&mut self, abo: Option<AboSpec>) {
@@ -650,11 +635,11 @@ impl ChannelShard {
     pub fn admit(&mut self, local: usize, mut req: QueuedReq) {
         req.seq = self.next_seq[local];
         self.next_seq[local] += 1;
-        // Admission happens on the coordinator side with no mitigation in
-        // reach (sharded mode), so the row index cannot be extended here —
-        // mark it dirty; the next hit lookup rebuilds it in one pass over
-        // the queue (amortized: one translation per queued request, the
-        // same work a single linear scan did every visit).
+        // Admission does not translate (see `QueuedReq::cached_epoch`), so
+        // the row index cannot be extended here — mark it dirty; the next
+        // hit lookup rebuilds it in one pass over the queue (amortized: one
+        // translation per queued request, the same work a single linear
+        // scan did every visit).
         self.row_index[local].epoch = NO_EPOCH;
         self.queues[local].push_back(req);
         self.active.insert(local);
@@ -790,15 +775,13 @@ impl ChannelShard {
     /// One scheduling pass for this channel at `now`: drains `admits`
     /// (local bank, request) pairs, runs the refresh engine over the
     /// channel's ranks, then the FR-FCFS scheduling scan over its active
-    /// banks. The mitigation sees bank index `moff + local` — the whole
-    /// scheme with `moff = bank_base` (serial), or this channel's piece
-    /// with `moff = 0` (sharded).
+    /// banks. `mit` is the whole scheme, indexed by global bank
+    /// (`bank_base + local`).
     pub fn pass(
         &mut self,
         now: Cycle,
         admits: &mut Vec<(usize, QueuedReq)>,
         mit: &mut AnyMitigation,
-        moff: usize,
     ) -> ShardReply {
         // Shard-level skip (calendar engine): when the last `next_min`
         // proved every bank event lies beyond `now`, no consult is armed,
@@ -821,7 +804,6 @@ impl ChannelShard {
                 progressed: false,
                 cmd: None,
                 completion: None,
-                queued: self.queued,
             };
         }
         self.cache_clean = false;
@@ -895,7 +877,7 @@ impl ChannelShard {
         // RFMAB mirrors REF (all banks of the rank precharged, urgent PREs
         // drain open rows); RFMSB mirrors RFM (only its bank precharged).
         if self.issued.is_none() && self.recovery_pending() {
-            self.recovery_drain(now, mit, moff, &mut progressed);
+            self.recovery_drain(now, mit, &mut progressed);
         }
         let refresh_cmd = self.take_issued();
 
@@ -922,10 +904,10 @@ impl ChannelShard {
         match self.engine {
             EngineMode::FullScan => {
                 self.active.insert_all();
-                self.pass_walk(now, mit, moff, &mut progressed);
+                self.pass_walk(now, mit, &mut progressed);
             }
-            EngineMode::FrontierWalk => self.pass_walk(now, mit, moff, &mut progressed),
-            EngineMode::Calendar => self.pass_calendar(now, mit, moff, &mut progressed),
+            EngineMode::FrontierWalk => self.pass_walk(now, mit, &mut progressed),
+            EngineMode::Calendar => self.pass_calendar(now, mit, &mut progressed),
         }
         sched.stop(&mut self.profile, Phase::Schedule);
         let sched_cmd = self.take_issued();
@@ -936,7 +918,6 @@ impl ChannelShard {
                 .map(|c| (true, c))
                 .or(sched_cmd.map(|c| (false, c))),
             completion: self.pending_completion.take(),
-            queued: self.queued,
         }
     }
 
@@ -948,13 +929,7 @@ impl ChannelShard {
     /// ascending banks with RFMSB. Runs identically under all three
     /// engines (it precedes engine dispatch and reads only committed
     /// state), which keeps the seven-variant differential bit-identical.
-    fn recovery_drain(
-        &mut self,
-        now: Cycle,
-        mit: &mut AnyMitigation,
-        moff: usize,
-        progressed: &mut bool,
-    ) {
+    fn recovery_drain(&mut self, now: Cycle, mit: &mut AnyMitigation, progressed: &mut bool) {
         if self.cmd_ready > now || self.block_until > now {
             return;
         }
@@ -992,7 +967,7 @@ impl ChannelShard {
                 for b in 0..self.bpr {
                     let local = lr * self.bpr + b;
                     let t = PhaseTimer::start(&mut self.profile);
-                    let action = mit.on_recovery_rfm(moff + local);
+                    let action = mit.on_recovery_rfm(self.bank_base + local);
                     t.stop(&mut self.profile, Phase::Rng);
                     let t = PhaseTimer::start(&mut self.profile);
                     Self::apply_mitigation_work(
@@ -1029,7 +1004,7 @@ impl ChannelShard {
                 self.recovery_due_bank[local] -= 1;
                 self.abo_recovery_cycles += self.timing.t_rfm;
                 let t = PhaseTimer::start(&mut self.profile);
-                let action = mit.on_recovery_rfm(moff + local);
+                let action = mit.on_recovery_rfm(self.bank_base + local);
                 t.stop(&mut self.profile, Phase::Rng);
                 let t = PhaseTimer::start(&mut self.profile);
                 Self::apply_mitigation_work(
@@ -1049,13 +1024,7 @@ impl ChannelShard {
     /// ascending order, gated (walk engine only) by the frontier memo.
     /// Iterating a snapshot of each bitmask word keeps the walk stable
     /// while banks deactivate themselves.
-    fn pass_walk(
-        &mut self,
-        now: Cycle,
-        mit: &mut AnyMitigation,
-        moff: usize,
-        progressed: &mut bool,
-    ) {
+    fn pass_walk(&mut self, now: Cycle, mit: &mut AnyMitigation, progressed: &mut bool) {
         // Shard-global bus gate, hoisted (walk engine): with the command
         // bus claimed at pass entry the old per-bank gate skipped every
         // bank — no visits, no deactivations — so the whole pass is a
@@ -1093,7 +1062,7 @@ impl ChannelShard {
                     && (self.rank_closed[lr] || self.recovery_due_bank[local] > 0)
                 {
                     self.rank_gate_skips[lr] += 1;
-                } else if self.schedule_bank(local, now, mit, moff) {
+                } else if self.schedule_bank(local, now, mit) {
                     *progressed = true;
                 }
                 if self.queues[local].is_empty()
@@ -1123,13 +1092,7 @@ impl ChannelShard {
     /// walk engine would have visited — the banks whose calendar event
     /// fired at or before `now`, merged in ascending bank order with the
     /// `pending` pool (the two are disjoint by construction).
-    fn pass_calendar(
-        &mut self,
-        now: Cycle,
-        mit: &mut AnyMitigation,
-        moff: usize,
-        progressed: &mut bool,
-    ) {
+    fn pass_calendar(&mut self, now: Cycle, mit: &mut AnyMitigation, progressed: &mut bool) {
         // Shard-global bus gate, hoisted: with the command bus claimed at
         // pass entry the walk engine skips every bank (no visits, no
         // deactivations — see `pass_walk`'s entry gate), so the whole pass
@@ -1158,18 +1121,18 @@ impl ChannelShard {
                 let local = w * 64 + bits.trailing_zeros() as usize;
                 bits &= bits - 1;
                 while di < due.len() && due[di] < local {
-                    self.visit_fired(due[di], now, mit, moff, progressed);
+                    self.visit_fired(due[di], now, mit, progressed);
                     di += 1;
                 }
                 debug_assert!(
                     di >= due.len() || due[di] != local,
                     "bank both pending and live in the calendar"
                 );
-                self.visit_pending(local, now, mit, moff, progressed);
+                self.visit_pending(local, now, mit, progressed);
             }
         }
         while di < due.len() {
-            self.visit_fired(due[di], now, mit, moff, progressed);
+            self.visit_fired(due[di], now, mit, progressed);
             di += 1;
         }
         due.clear();
@@ -1187,7 +1150,6 @@ impl ChannelShard {
         local: usize,
         now: Cycle,
         mit: &mut AnyMitigation,
-        moff: usize,
         progressed: &mut bool,
     ) {
         if self.cmd_ready > now || self.block_until > now {
@@ -1219,9 +1181,9 @@ impl ChannelShard {
         if self.rank_closed[lr] || self.recovery_due_bank[local] > 0 {
             self.rank_gate_skips[lr] += 1;
         } else {
-            let issued = match self.try_resolved(local, now, mit, moff) {
+            let issued = match self.try_resolved(local, now, mit) {
                 Some(issued) => issued,
-                None => self.schedule_bank(local, now, mit, moff),
+                None => self.schedule_bank(local, now, mit),
             };
             if issued {
                 *progressed = true;
@@ -1238,7 +1200,6 @@ impl ChannelShard {
         local: usize,
         now: Cycle,
         mit: &mut AnyMitigation,
-        moff: usize,
         progressed: &mut bool,
     ) {
         if self.cmd_ready > now || self.block_until > now {
@@ -1268,9 +1229,9 @@ impl ChannelShard {
         if self.rank_closed[lr] || self.recovery_due_bank[local] > 0 {
             self.rank_gate_skips[lr] += 1;
         } else {
-            let issued = match self.try_resolved(local, now, mit, moff) {
+            let issued = match self.try_resolved(local, now, mit) {
                 Some(issued) => issued,
-                None => self.schedule_bank(local, now, mit, moff),
+                None => self.schedule_bank(local, now, mit),
             };
             if issued {
                 *progressed = true;
@@ -1306,17 +1267,11 @@ impl ChannelShard {
     /// the monomorphized body: the profiler-off instantiation carries
     /// zero timer calls on the hot path.
     #[inline]
-    fn schedule_bank(
-        &mut self,
-        local: usize,
-        now: Cycle,
-        mit: &mut AnyMitigation,
-        moff: usize,
-    ) -> bool {
+    fn schedule_bank(&mut self, local: usize, now: Cycle, mit: &mut AnyMitigation) -> bool {
         if self.profile.is_some() {
-            self.schedule_bank_impl::<true>(local, now, mit, moff)
+            self.schedule_bank_impl::<true>(local, now, mit)
         } else {
-            self.schedule_bank_impl::<false>(local, now, mit, moff)
+            self.schedule_bank_impl::<false>(local, now, mit)
         }
     }
 
@@ -1325,11 +1280,10 @@ impl ChannelShard {
         local: usize,
         now: Cycle,
         mit: &mut AnyMitigation,
-        moff: usize,
     ) -> bool {
         let bank = self.gbank(local);
         let lbank = BankId(local as u32);
-        let mit_bank = moff + local;
+        let mit_bank = self.bank_base + local;
         if self.cmd_ready > now || self.block_until > now {
             return false;
         }
@@ -1559,13 +1513,7 @@ impl ChannelShard {
     /// timing checks below — a decision says *what* to issue, never
     /// whether the gates or the lane allow it *now*.
     #[inline]
-    fn try_resolved(
-        &mut self,
-        local: usize,
-        now: Cycle,
-        mit: &mut AnyMitigation,
-        moff: usize,
-    ) -> Option<bool> {
+    fn try_resolved(&mut self, local: usize, now: Cycle, mit: &mut AnyMitigation) -> Option<bool> {
         if !self.resolved {
             return None;
         }
@@ -1583,7 +1531,7 @@ impl ChannelShard {
         #[cfg(debug_assertions)]
         {
             let needs_rfm = self.needs_rfm(local);
-            let fresh = self.bank_frontier_raw(local, needs_rfm, mit, moff).3;
+            let fresh = self.bank_frontier_raw(local, needs_rfm, mit).3;
             // The epoch stamp is excluded: wrappers like `Retranslate`
             // report a fresh epoch per *query* while the translation stays
             // pure, so two derivations of the same decision can carry
@@ -1608,9 +1556,9 @@ impl ChannelShard {
             );
         }
         Some(if self.profile.is_some() {
-            self.consume_resolved::<true>(local, slot.resolved, now, mit, moff)
+            self.consume_resolved::<true>(local, slot.resolved, now, mit)
         } else {
-            self.consume_resolved::<false>(local, slot.resolved, now, mit, moff)
+            self.consume_resolved::<false>(local, slot.resolved, now, mit)
         })
     }
 
@@ -1628,10 +1576,9 @@ impl ChannelShard {
         resolved: Resolved,
         now: Cycle,
         mit: &mut AnyMitigation,
-        moff: usize,
     ) -> bool {
         let bank = self.gbank(local);
-        let mit_bank = moff + local;
+        let mit_bank = self.bank_base + local;
         match resolved {
             Resolved::None => unreachable!("caller filters unresolved slots"),
             Resolved::Pre => {
@@ -1849,7 +1796,6 @@ impl ChannelShard {
         local: usize,
         needs_rfm: bool,
         mit: &mut AnyMitigation,
-        moff: usize,
     ) -> (Cycle, Cycle, FrontierScope, Resolved) {
         let bank = self.gbank(local);
         if needs_rfm {
@@ -1865,7 +1811,7 @@ impl ChannelShard {
                 )
             }
         } else if let Some(open_da) = self.lane().open_row(bank) {
-            let mit_bank = moff + local;
+            let mit_bank = self.bank_base + local;
             let epoch = mit.remap_epoch(mit_bank);
             let tr = PhaseTimer::start(&mut self.profile);
             let hit_seq = if self.linear_frfcfs {
@@ -1931,14 +1877,8 @@ impl ChannelShard {
     }
 
     /// Recomputes and stores local bank `local`'s frontier memo.
-    fn refresh_slot(
-        &mut self,
-        local: usize,
-        needs_rfm: bool,
-        mit: &mut AnyMitigation,
-        moff: usize,
-    ) {
-        let (raw, intrinsic, scope, resolved) = self.bank_frontier_raw(local, needs_rfm, mit, moff);
+    fn refresh_slot(&mut self, local: usize, needs_rfm: bool, mit: &mut AnyMitigation) {
+        let (raw, intrinsic, scope, resolved) = self.bank_frontier_raw(local, needs_rfm, mit);
         // The O(1) revalidation identity: the coupled state enters every
         // lane `earliest_*` purely as a floor over the bank-scoped part.
         debug_assert_eq!(raw, intrinsic.max(self.slot_floor(scope, local)));
@@ -1992,7 +1932,7 @@ impl ChannelShard {
     /// over its active banks' frontiers (memoized) and its ranks' refresh
     /// deadlines. Unclamped — the coordinator applies `max(now + 1)` after
     /// folding in completions and core eligibility.
-    pub fn next_min(&mut self, now: Cycle, mit: &mut AnyMitigation, moff: usize) -> Cycle {
+    pub fn next_min(&mut self, now: Cycle, mit: &mut AnyMitigation) -> Cycle {
         // Cache reuse (calendar engine): every input — the memoized raws,
         // the bus floor, the refresh deadlines — is committed shard state,
         // untouched since the skipped pass, and the tREFI probe lands on
@@ -2024,7 +1964,7 @@ impl ChannelShard {
                         if self.queues[local].is_empty() && !needs_rfm {
                             continue;
                         }
-                        let raw = self.bank_frontier_raw(local, needs_rfm, mit, moff).0;
+                        let raw = self.bank_frontier_raw(local, needs_rfm, mit).0;
                         next = next.min(raw.max(floor));
                     }
                 }
@@ -2040,7 +1980,7 @@ impl ChannelShard {
                             continue;
                         }
                         if !self.slot_valid(local) {
-                            self.refresh_slot(local, needs_rfm, mit, moff);
+                            self.refresh_slot(local, needs_rfm, mit);
                         }
                         next = next.min(self.frontier[local].raw.max(floor));
                     }
@@ -2068,7 +2008,7 @@ impl ChannelShard {
                             continue;
                         }
                         if !self.slot_valid(local) && !self.revalidate_coupled(local) {
-                            self.refresh_slot(local, needs_rfm, mit, moff);
+                            self.refresh_slot(local, needs_rfm, mit);
                         }
                         let slot = self.frontier[local];
                         // An armed consult fires at the next visited pass
@@ -2097,7 +2037,7 @@ impl ChannelShard {
                     }
                     if !self.revalidate_coupled(local) {
                         let needs_rfm = self.needs_rfm(local);
-                        self.refresh_slot(local, needs_rfm, mit, moff);
+                        self.refresh_slot(local, needs_rfm, mit);
                     }
                     let slot = self.frontier[local];
                     if slot.consult_pending {
@@ -2382,13 +2322,13 @@ mod tests {
             let replies: Vec<ShardReply> = shards
                 .iter_mut()
                 .zip(admits.iter_mut())
-                .map(|(s, a)| s.pass(now, a, &mut mit, 0))
+                .map(|(s, a)| s.pass(now, a, &mut mit))
                 .collect();
-            for r in &replies[1..] {
+            for (r, s) in replies[1..].iter().zip(&shards[1..]) {
                 assert_eq!(r.progressed, replies[0].progressed, "seed {seed} @ {now}");
                 assert_eq!(r.cmd, replies[0].cmd, "seed {seed} @ {now}");
                 assert_eq!(r.completion, replies[0].completion, "seed {seed} @ {now}");
-                assert_eq!(r.queued, replies[0].queued, "seed {seed} @ {now}");
+                assert_eq!(s.queued(), shards[0].queued(), "seed {seed} @ {now}");
             }
             match replies[0].cmd {
                 Some((_, DramCommand::Act { .. })) => acts += 1,
@@ -2398,7 +2338,7 @@ mod tests {
             }
             let mins: Vec<Cycle> = shards
                 .iter_mut()
-                .map(|s| s.next_min(now, &mut mit, 0))
+                .map(|s| s.next_min(now, &mut mit))
                 .collect();
             assert_eq!(
                 mins[2], mins[3],
@@ -2457,9 +2397,6 @@ mod tests {
                 }
             };
         }
-        for s in &shards[1..] {
-            assert_eq!(shards[0].queued(), s.queued(), "seed {seed}");
-        }
         (acts, cas, refs)
     }
 
@@ -2507,8 +2444,8 @@ mod tests {
                     },
                 ));
             }
-            shard.pass(now, &mut admits, &mut mit, 0);
-            let next = shard.next_min(now, &mut mit, 0);
+            shard.pass(now, &mut admits, &mut mit);
+            let next = shard.next_min(now, &mut mit);
             for local in 0..banks {
                 assert!(
                     !shard.pending.contains(local) || shard.active.contains(local),

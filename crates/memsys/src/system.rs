@@ -1,28 +1,13 @@
 //! The memory-system engine: FR-FCFS scheduling, refresh, RFM, mitigation
 //! hooks, and the fault model, advanced on one deterministic timeline.
 //!
-//! The engine is channel-sharded: all per-channel scheduler state lives in
-//! [`ChannelShard`]s (see `crate::shard`), and [`MemSystem`] is the
-//! coordinator — it owns the cores, request admission, the completion event
-//! queue, the watchdog, and the device's bookkeeping (stats/history/trace),
-//! and it merges each scheduling pass's per-shard results in fixed channel
-//! order. Two execution modes run the *same* shard code:
-//!
-//!  - **serial** (default): one thread iterates shards in channel order,
-//!    handing each the whole mitigation with its global bank offset;
-//!  - **sharded** ([`SystemConfig::shard_channels`]): persistent worker
-//!    threads each own a contiguous range of shards plus those channels'
-//!    mitigation pieces ([`Mitigation::split_channels`]), stepping
-//!    concurrently and synchronizing at every pass.
-//!
-//! Because channels share no timing state, mitigation state splits
-//! per-channel (per-bank RNG substreams), and the merge replays commands
-//! and completions in canonical channel order, the two modes are
-//! bit-identical — reports *and* command traces (pinned by the determinism
-//! suite and the conformance fuzzer's sharded leg).
-
-use std::sync::mpsc;
-use std::thread;
+//! All per-channel scheduler state lives in [`ChannelShard`]s (see
+//! `crate::shard`), and [`MemSystem`] is the coordinator: it owns the
+//! cores, request admission, the completion event queue, the watchdog, and
+//! the device's bookkeeping (stats/history/trace). One thread steps the
+//! shards in ascending channel order, handing each the whole mitigation,
+//! and merges each pass's per-shard results in that fixed order (see
+//! `MemSystem::step`).
 
 use shadow_dram::device::DramDevice;
 use shadow_dram::geometry::DramGeometry;
@@ -42,46 +27,6 @@ use crate::error::{BankStall, SimError, StallKind, StallSnapshot};
 use crate::report::SimReport;
 use crate::shard::{ChannelShard, EngineMode, QueuedReq, ShardReply, NO_EPOCH, POSTED};
 
-/// Coordinator-to-worker message of the sharded engine.
-enum WorkerMsg {
-    /// Run one scheduling pass at `now`. `admits[k]` holds the admissions
-    /// for the worker's k-th owned channel; `replies` arrives empty and is
-    /// filled by the worker. Both buffers (outer Vecs included) ride back
-    /// in the reply for reuse, keeping the steady state allocation-free.
-    Pass {
-        now: Cycle,
-        admits: Vec<Vec<(usize, QueuedReq)>>,
-        replies: Vec<(ShardReply, ShardNext)>,
-    },
-    /// Run over: the worker returns its shards and mitigation pieces via
-    /// the join handle.
-    Finish,
-}
-
-/// One shard's next-event bounds for one pass (sharded engine).
-struct ShardNext {
-    /// The shard's `next_min` value (exact wake when the shard is
-    /// skippable, legacy-form otherwise).
-    next: Cycle,
-    /// The legacy-form bound ([`ChannelShard::legacy_next`]); the
-    /// coordinator advances by the min of these whenever any shard
-    /// reports `!skip_ok`.
-    legacy: Cycle,
-    /// [`ChannelShard::skip_ok`] after the pass's `next_min`.
-    skip_ok: bool,
-}
-
-/// One worker's results for one pass.
-struct WorkerReply {
-    /// First channel this worker owns (workers own contiguous ranges).
-    first_ch: usize,
-    /// Per owned channel, in channel order: the pass result and the
-    /// shard's next-event bounds.
-    replies: Vec<(ShardReply, ShardNext)>,
-    /// The admission buffers, drained, returned for reuse.
-    admits: Vec<Vec<(usize, QueuedReq)>>,
-}
-
 /// The assembled memory system.
 #[derive(Debug)]
 pub struct MemSystem {
@@ -90,22 +35,13 @@ pub struct MemSystem {
     mapper: AddressMapper,
     /// The whole mitigation, devirtualized at the assembly boundary
     /// (built-in schemes dispatch by enum tag in the hot loop; unknown
-    /// schemes ride the [`AnyMitigation::Dyn`] fallback). In sharded mode
-    /// its per-bank state has been drained into `pieces`; only
-    /// state-independent scalars (name, RFM interface, RAAIMT) may be read
-    /// from it then.
+    /// schemes ride the [`AnyMitigation::Dyn`] fallback).
     mitigation: AnyMitigation,
-    /// Per-channel mitigation pieces — `Some` exactly when the sharded
-    /// engine is selected (see [`MemSystem::sharding_active`]).
-    pieces: Option<Vec<AnyMitigation>>,
     shards: Vec<ChannelShard>,
-    /// The mitigation's Alert Back-Off contract, captured at assembly
-    /// (before a sharded split drains the scheme) for the shards and the
-    /// conformance oracle.
+    /// The mitigation's Alert Back-Off contract, captured at assembly for
+    /// the shards and the conformance oracle.
     abo_spec: Option<AboSpec>,
     banks_per_channel: usize,
-    /// Resolved sharded-engine worker count (1..=channels; unused serial).
-    threads: usize,
     cores: Vec<CpuCore>,
     completions: EventQueue<usize>,
     /// Running total of delivered completions (the `done()` fast path —
@@ -114,7 +50,7 @@ pub struct MemSystem {
     /// Per-channel admission staging: (local bank, request) in admission
     /// order. Filled by the coordinator, drained by the shard's pass.
     admit_bufs: Vec<Vec<(usize, QueuedReq)>>,
-    /// Reusable per-pass reply buffer (serial path).
+    /// Reusable per-pass reply buffer.
     replies: Vec<ShardReply>,
     /// Cycle of the last delivered completion (watchdog bookkeeping;
     /// observation-only, never read by the scheduler).
@@ -154,10 +90,7 @@ impl MemSystem {
     /// Assembles a system: one core per stream, the given mitigation.
     ///
     /// The mitigation's tRCD extension, refresh-rate multiplier and extra
-    /// DA rows are applied here. When [`SystemConfig::shard_channels`] is
-    /// set, the sharded engine is selected here too — if the config has
-    /// more than one channel, the reference engine is not forced, and the
-    /// mitigation can split its per-channel state.
+    /// DA rows are applied here.
     ///
     /// # Errors
     ///
@@ -167,7 +100,7 @@ impl MemSystem {
     pub fn try_new(
         cfg: SystemConfig,
         streams: Vec<Box<dyn RequestStream>>,
-        mut mitigation: Box<dyn Mitigation>,
+        mitigation: Box<dyn Mitigation>,
     ) -> Result<Self, SimError> {
         cfg.validate()?;
         if streams.is_empty() {
@@ -227,9 +160,7 @@ impl MemSystem {
         } else {
             EngineMode::Calendar
         };
-        // Capture the ABO contract before a sharded split drains the
-        // scheme's state (the spec itself is stable, but the capture point
-        // is part of the trait's "captured once" contract).
+        // The trait's contract: the ABO spec is captured once, at assembly.
         let abo_spec = mitigation.abo();
         let shards: Vec<ChannelShard> = (0..channels)
             .map(|ch| {
@@ -251,22 +182,6 @@ impl MemSystem {
                 shard
             })
             .collect();
-        // The sharded engine needs per-channel mitigation state; a scheme
-        // that cannot split (or a single-channel config, or the reference
-        // engine) falls back to serial execution — same results either way.
-        let pieces = if cfg.shard_channels && !cfg.force_full_scan && channels > 1 {
-            mitigation
-                .split_channels(channels, banks_per_channel)
-                .map(|ps| ps.into_iter().map(AnyMitigation::from).collect())
-        } else {
-            None
-        };
-        let threads = if cfg.shard_threads == 0 {
-            thread::available_parallelism().map_or(1, |n| n.get())
-        } else {
-            cfg.shard_threads
-        }
-        .clamp(1, channels);
         Ok(MemSystem {
             mapper: AddressMapper::new(cfg.geometry),
             cores: streams
@@ -278,10 +193,8 @@ impl MemSystem {
             admit_bufs: (0..channels).map(|_| Vec::new()).collect(),
             replies: Vec::with_capacity(channels),
             banks_per_channel,
-            threads,
             shards,
             abo_spec,
-            pieces,
             last_completion_at: 0,
             last_command_at: 0,
             sched_passes: 0,
@@ -305,33 +218,15 @@ impl MemSystem {
         self.device.take_trace()
     }
 
-    /// The mitigation (for inspection in tests). In sharded mode the live
-    /// per-bank state has moved into the per-channel pieces; only
-    /// state-independent scalars (name, RFM interface, RAAIMT) are
-    /// meaningful then.
+    /// The mitigation (for inspection in tests).
     pub fn mitigation(&self) -> &dyn Mitigation {
         &self.mitigation
     }
 
-    /// The mitigation's Alert Back-Off contract as captured at assembly
-    /// (valid in sharded mode too, unlike per-bank mitigation state). The
-    /// conformance oracle replays recovery timing from this.
+    /// The mitigation's Alert Back-Off contract as captured at assembly.
+    /// The conformance oracle replays recovery timing from this.
     pub fn abo_spec(&self) -> Option<AboSpec> {
         self.abo_spec
-    }
-
-    /// Whether this system resolved to the sharded engine (the config
-    /// asked for it, the geometry has more than one channel, the reference
-    /// engine is not forced, and the mitigation split its state).
-    pub fn sharding_active(&self) -> bool {
-        self.pieces.is_some()
-    }
-
-    /// Resolved sharded-engine worker count (meaningful when
-    /// [`sharding_active`](Self::sharding_active); `shard_threads == 0`
-    /// auto-detects the host, and any value is clamped to the channels).
-    pub fn shard_threads(&self) -> usize {
-        self.threads
     }
 
     /// Bit-flip ledger of (global) `bank`.
@@ -359,11 +254,10 @@ impl MemSystem {
     }
 
     /// Admits eligible core requests into the per-channel staging buffers
-    /// (§2 of a scheduling pass), in core order — the global admission
-    /// order both engines share. Translation is deferred to the owning
-    /// shard (`NO_EPOCH`): the coordinator has no mitigation to consult in
-    /// sharded mode, and `Mitigation::translate` is a pure lookup, so the
-    /// first in-shard `da()` call yields the identical row.
+    /// (§2 of a scheduling pass), in core order. Translation is deferred to
+    /// the owning shard (`NO_EPOCH`; see `QueuedReq::cached_epoch`):
+    /// `Mitigation::translate` is a pure lookup, so the first in-shard
+    /// `da()` call yields the identical row.
     fn admit(&mut self, now: Cycle) -> bool {
         let mut progressed = false;
         for i in 0..self.cores.len() {
@@ -401,9 +295,9 @@ impl MemSystem {
         progressed
     }
 
-    /// One serial scheduling pass at `self.now`. Returns true if any
-    /// command, completion, admission, or mitigation consult happened.
-    fn step_serial(&mut self) -> bool {
+    /// One scheduling pass at `self.now`. Returns true if any command,
+    /// completion, admission, or mitigation consult happened.
+    fn step(&mut self) -> bool {
         let now = self.now;
         let mut progressed = self.drain_completions(now);
         progressed |= self.admit(now);
@@ -420,8 +314,7 @@ impl MemSystem {
         replies.clear();
         let mit = &mut *mitigation;
         for (shard, bufs) in shards.iter_mut().zip(admit_bufs.iter_mut()) {
-            let moff = shard.bank_base();
-            replies.push(shard.pass(now, bufs, mit, moff));
+            replies.push(shard.pass(now, bufs, mit));
         }
         // Canonical merge: refresh-phase commands in channel order, then
         // scheduler-phase commands in channel order — the exact global
@@ -450,8 +343,8 @@ impl MemSystem {
         progressed
     }
 
-    /// The earliest future cycle at which anything can happen (serial).
-    fn next_event_after_serial(&mut self, now: Cycle) -> Cycle {
+    /// The earliest future cycle at which anything can happen.
+    fn next_event_after(&mut self, now: Cycle) -> Cycle {
         let mut next = Cycle::MAX;
         if let Some(t) = self.completions.next_at() {
             next = next.min(t);
@@ -476,8 +369,7 @@ impl MemSystem {
         let mut legacy_min = Cycle::MAX;
         let mut all_skip = true;
         for shard in shards.iter_mut() {
-            let moff = shard.bank_base();
-            exact_min = exact_min.min(shard.next_min(now, mit, moff));
+            exact_min = exact_min.min(shard.next_min(now, mit));
             legacy_min = legacy_min.min(shard.legacy_next());
             all_skip &= shard.skip_ok();
         }
@@ -493,8 +385,7 @@ impl MemSystem {
     const STUCK_PASS_LIMIT: u64 = 1_000_000;
 
     /// Builds the watchdog's diagnostic snapshot of the controller state.
-    /// Requires the shards to hold their lanes (i.e. called during a run,
-    /// or after the sharded engine reclaimed its workers).
+    /// Requires the shards to hold their lanes (i.e. called during a run).
     fn stall_snapshot(&self, kind: StallKind) -> Box<StallSnapshot> {
         let mut banks: Vec<BankStall> = Vec::new();
         for shard in &self.shards {
@@ -534,9 +425,7 @@ impl MemSystem {
     /// requests sit queued* (an idle system with empty queues is
     /// legitimately quiet, not stalled). Purely observational: it reads
     /// committed state only, so a run it never aborts is bit-identical to
-    /// one with the watchdog disabled. `any_queued` comes from the shards
-    /// (serial) or the last pass's replies (sharded) — same value, since
-    /// queue state only changes inside passes.
+    /// one with the watchdog disabled. `any_queued` comes from the shards.
     fn watchdog_kind(&mut self, any_queued: bool) -> Option<StallKind> {
         let window = self.cfg.watchdog_window;
         if window == 0 || self.now.saturating_sub(self.last_completion_at) < window {
@@ -587,11 +476,7 @@ impl MemSystem {
         for (shard, lane) in self.shards.iter_mut().zip(lanes) {
             shard.lane = Some(lane);
         }
-        let result = if self.pieces.is_some() {
-            self.run_sharded()
-        } else {
-            self.run_serial()
-        };
+        let result = self.run_loop();
         let lanes = self
             .shards
             .iter_mut()
@@ -639,11 +524,11 @@ impl MemSystem {
         None
     }
 
-    fn run_serial(&mut self) -> Result<(), SimError> {
+    fn run_loop(&mut self) -> Result<(), SimError> {
         let mut passes_at_now: u64 = 0;
         while !self.done() {
             self.count_pass();
-            let progressed = self.step_serial();
+            let progressed = self.step();
             // A pass can enable further work at the same cycle only by
             // delivering a completion scheduled *at* `now` (posted writes;
             // CAS completions always land in the future): admissions are
@@ -664,9 +549,7 @@ impl MemSystem {
             // before any no-progress pass can advance `now` — so the
             // reported cycle count must not include a post-completion jump.
             if !repeat && !self.done() {
-                let next = self
-                    .next_event_after_serial(self.now)
-                    .min(self.cfg.max_cycles);
+                let next = self.next_event_after(self.now).min(self.cfg.max_cycles);
                 let any_queued = self.shards.iter().any(|s| s.queued() > 0);
                 if let Some(kind) = self.watchdog_deadline(any_queued, next) {
                     return Err(SimError::Stalled(self.stall_snapshot(kind)));
@@ -686,223 +569,6 @@ impl MemSystem {
             }
         }
         Ok(())
-    }
-
-    /// The sharded run loop: persistent workers each step a contiguous
-    /// range of channels; the coordinator synchronizes every pass and
-    /// merges results in canonical channel order (bit-identical to
-    /// [`run_serial`](Self::run_serial) — see the module docs).
-    fn run_sharded(&mut self) -> Result<(), SimError> {
-        let channels = self.shards.len();
-        let threads = self.threads.clamp(1, channels);
-        let mut shards: Vec<ChannelShard> = std::mem::take(&mut self.shards);
-        let mut pieces: Vec<AnyMitigation> = self.pieces.take().expect("sharded mode has pieces");
-        // Worker w owns `base` channels plus one of the remainder.
-        let base = channels / threads;
-        let extra = channels % threads;
-        let (reply_tx, reply_rx) = mpsc::channel::<WorkerReply>();
-        let mut stall: Option<StallKind> = None;
-
-        thread::scope(|s| {
-            let mut senders = Vec::with_capacity(threads);
-            let mut handles = Vec::with_capacity(threads);
-            {
-                let mut shard_iter = shards.drain(..);
-                let mut piece_iter = pieces.drain(..);
-                let mut first_ch = 0usize;
-                for w in 0..threads {
-                    let count = base + usize::from(w < extra);
-                    let my_shards: Vec<ChannelShard> = shard_iter.by_ref().take(count).collect();
-                    let my_pieces: Vec<AnyMitigation> = piece_iter.by_ref().take(count).collect();
-                    let (tx, rx) = mpsc::channel::<WorkerMsg>();
-                    let my_reply_tx = reply_tx.clone();
-                    let my_first = first_ch;
-                    first_ch += count;
-                    handles.push(s.spawn(move || {
-                        let mut shards = my_shards;
-                        let mut pieces = my_pieces;
-                        while let Ok(msg) = rx.recv() {
-                            match msg {
-                                WorkerMsg::Pass {
-                                    now,
-                                    mut admits,
-                                    mut replies,
-                                } => {
-                                    debug_assert!(replies.is_empty());
-                                    for (k, shard) in shards.iter_mut().enumerate() {
-                                        let reply =
-                                            shard.pass(now, &mut admits[k], &mut pieces[k], 0);
-                                        // Filling the frontier memo every
-                                        // pass (the serial loop fills it
-                                        // only before a time jump) is
-                                        // observation-only: slots are
-                                        // validated by sequence counters,
-                                        // so scheduling reads identical
-                                        // values either way.
-                                        let next = shard.next_min(now, &mut pieces[k], 0);
-                                        replies.push((
-                                            reply,
-                                            ShardNext {
-                                                next,
-                                                legacy: shard.legacy_next(),
-                                                skip_ok: shard.skip_ok(),
-                                            },
-                                        ));
-                                    }
-                                    let reply = WorkerReply {
-                                        first_ch: my_first,
-                                        replies,
-                                        admits,
-                                    };
-                                    if my_reply_tx.send(reply).is_err() {
-                                        break;
-                                    }
-                                }
-                                WorkerMsg::Finish => break,
-                            }
-                        }
-                        (shards, pieces)
-                    }));
-                    senders.push(tx);
-                }
-            }
-            drop(reply_tx);
-
-            let mut passes_at_now: u64 = 0;
-            let mut pass_replies: Vec<Option<(ShardReply, ShardNext)>> =
-                (0..channels).map(|_| None).collect();
-            // Buffer pool for the per-pass messages: the outer admits Vec
-            // and the reply Vec ping-pong through the channel alongside the
-            // admission buffers, so the steady-state pass loop allocates
-            // nothing (~2.3M passes on the dense bench slice).
-            type SpareBufs = (Vec<Vec<(usize, QueuedReq)>>, Vec<(ShardReply, ShardNext)>);
-            let mut spare: Vec<SpareBufs> = (0..threads)
-                .map(|_| (Vec::with_capacity(base + 1), Vec::with_capacity(base + 1)))
-                .collect();
-            while !self.done() {
-                self.count_pass();
-                let now = self.now;
-                let mut progressed = self.drain_completions(now);
-                progressed |= self.admit(now);
-                // Fan the pass out with each worker's admission buffers.
-                let mut ch = 0usize;
-                for (w, tx) in senders.iter().enumerate() {
-                    let count = base + usize::from(w < extra);
-                    let (mut admits, replies) = spare.pop().expect("one spare per worker");
-                    admits.extend(
-                        self.admit_bufs[ch..ch + count]
-                            .iter_mut()
-                            .map(std::mem::take),
-                    );
-                    ch += count;
-                    tx.send(WorkerMsg::Pass {
-                        now,
-                        admits,
-                        replies,
-                    })
-                    .expect("worker alive");
-                }
-                // Barrier: collect every worker's reply, slotting results
-                // (and the returned buffers) by channel.
-                for _ in 0..threads {
-                    let mut reply = reply_rx.recv().expect("worker alive");
-                    for (k, buf) in reply.admits.drain(..).enumerate() {
-                        self.admit_bufs[reply.first_ch + k] = buf;
-                    }
-                    for (k, r) in reply.replies.drain(..).enumerate() {
-                        pass_replies[reply.first_ch + k] = Some(r);
-                    }
-                    spare.push((reply.admits, reply.replies));
-                }
-                // Canonical merge, exactly as the serial pass: refresh
-                // commands channel-ascending, scheduler commands
-                // channel-ascending, then CAS completions.
-                for slot in pass_replies.iter() {
-                    let (r, _) = slot.as_ref().expect("every channel replied");
-                    if let Some((true, cmd)) = r.cmd {
-                        self.device.record(cmd, now);
-                        self.last_command_at = now;
-                    }
-                }
-                for slot in pass_replies.iter() {
-                    let (r, _) = slot.as_ref().expect("filled");
-                    if let Some((false, cmd)) = r.cmd {
-                        self.device.record(cmd, now);
-                        self.last_command_at = now;
-                    }
-                }
-                // Same fallback rule as `next_event_after_serial`: the
-                // exact wake bounds drive the clock only when every shard
-                // is skippable; otherwise the legacy-form min reproduces
-                // the walk engine's crawl cadence for the shard that
-                // needs per-pass examination.
-                let mut exact_min = Cycle::MAX;
-                let mut legacy_min = Cycle::MAX;
-                let mut all_skip = true;
-                let mut queued_total = 0usize;
-                for slot in pass_replies.iter_mut() {
-                    let (r, sn) = slot.take().expect("filled");
-                    if let Some((at, core)) = r.completion {
-                        self.completions.schedule(at, core);
-                    }
-                    progressed |= r.progressed;
-                    queued_total += r.queued;
-                    exact_min = exact_min.min(sn.next);
-                    legacy_min = legacy_min.min(sn.legacy);
-                    all_skip &= sn.skip_ok;
-                }
-                let shard_next = if all_skip { exact_min } else { legacy_min };
-                // Advance exactly as the serial loop does (the sharded
-                // engine never runs with force_full_scan).
-                let repeat = progressed && self.completions.next_at() == Some(self.now);
-                if !repeat && !self.done() {
-                    let mut next = shard_next;
-                    if let Some(t) = self.completions.next_at() {
-                        next = next.min(t);
-                    }
-                    for c in &self.cores {
-                        if let Some(t) = c.next_eligible() {
-                            next = next.min(t);
-                        }
-                    }
-                    let next = next.max(now + 1).min(self.cfg.max_cycles);
-                    if let Some(kind) = self.watchdog_deadline(queued_total > 0, next) {
-                        stall = Some(kind);
-                        break;
-                    }
-                    self.now = next;
-                    passes_at_now = 0;
-                    if let Some(kind) = self.watchdog_kind(queued_total > 0) {
-                        stall = Some(kind);
-                        break;
-                    }
-                } else if repeat && self.cfg.watchdog_window > 0 {
-                    passes_at_now += 1;
-                    if passes_at_now >= Self::STUCK_PASS_LIMIT {
-                        stall = Some(StallKind::StuckCycle);
-                        break;
-                    }
-                }
-            }
-            // Wind down: reclaim shards and pieces in channel order
-            // (workers own contiguous ranges, handles are in worker order).
-            for tx in &senders {
-                let _ = tx.send(WorkerMsg::Finish);
-            }
-            drop(senders);
-            for h in handles {
-                let (s_vec, p_vec) = h.join().expect("worker panicked");
-                shards.extend(s_vec);
-                pieces.extend(p_vec);
-            }
-        });
-
-        self.shards = shards;
-        self.pieces = Some(pieces);
-        match stall {
-            Some(kind) => Err(SimError::Stalled(self.stall_snapshot(kind))),
-            None => Ok(()),
-        }
     }
 
     /// Assembles the final [`SimReport`], merging per-shard state in fixed
@@ -935,11 +601,7 @@ impl MemSystem {
                 profile.get_or_insert_with(PhaseProfile::new).merge(p);
             }
         }
-        // Tracker state lives in the per-channel pieces when sharded.
-        let tracker_evictions = match &self.pieces {
-            Some(pieces) => pieces.iter().map(|p| p.tracker_evictions()).sum(),
-            None => self.mitigation.tracker_evictions(),
-        };
+        let tracker_evictions = self.mitigation.tracker_evictions();
         SimReport {
             scheme: self.mitigation.name().to_string(),
             cycles: self.now,
@@ -1296,113 +958,12 @@ mod tests {
         assert_eq!(a.completed, b.completed);
     }
 
-    /// A 2-channel shrink of the tiny config (tiny itself is 1-channel, so
-    /// it can't exercise sharding).
+    /// A 2-channel shrink of the tiny config (tiny itself is 1-channel).
     fn two_channel_cfg() -> SystemConfig {
         let mut cfg = SystemConfig::tiny();
         cfg.geometry.channels = 2;
         cfg.target_requests = 1_500;
         cfg
-    }
-
-    #[test]
-    fn sharded_run_is_bit_identical_to_serial() {
-        let serial_cfg = two_channel_cfg();
-        let mut sharded_cfg = serial_cfg;
-        sharded_cfg.shard_channels = true;
-        sharded_cfg.shard_threads = 2;
-        for seed in [13, 14] {
-            let serial = MemSystem::new(
-                serial_cfg,
-                one_stream(&serial_cfg, seed),
-                Box::new(NoMitigation::new()),
-            )
-            .run();
-            let mut sys = MemSystem::new(
-                sharded_cfg,
-                one_stream(&sharded_cfg, seed),
-                Box::new(NoMitigation::new()),
-            );
-            assert!(sys.sharding_active(), "2-channel config must shard");
-            let sharded = sys.run();
-            assert_eq!(serial, sharded, "sharded run diverged (seed {seed})");
-        }
-    }
-
-    #[test]
-    fn sharded_traces_match_serial() {
-        let mut serial_cfg = two_channel_cfg();
-        serial_cfg.trace_depth = 1 << 20;
-        let mut sharded_cfg = serial_cfg;
-        sharded_cfg.shard_channels = true;
-        sharded_cfg.shard_threads = 2;
-        let mut a = MemSystem::new(
-            serial_cfg,
-            one_stream(&serial_cfg, 15),
-            Box::new(NoMitigation::new()),
-        );
-        let mut b = MemSystem::new(
-            sharded_cfg,
-            one_stream(&sharded_cfg, 15),
-            Box::new(NoMitigation::new()),
-        );
-        let ra = a.run();
-        let rb = b.run();
-        assert_eq!(ra, rb);
-        assert_eq!(
-            a.take_trace().expect("traced"),
-            b.take_trace().expect("traced"),
-            "command traces must be byte-identical"
-        );
-    }
-
-    #[test]
-    fn sharded_matches_serial_with_shadow() {
-        // The hardest scheme: per-bank RRS trackers, RNG substreams, RFM.
-        let serial_cfg = two_channel_cfg();
-        let mut sharded_cfg = serial_cfg;
-        sharded_cfg.shard_channels = true;
-        sharded_cfg.shard_threads = 2;
-        let serial = MemSystem::new(
-            serial_cfg,
-            one_stream(&serial_cfg, 16),
-            Box::new(shadow_for(&serial_cfg)),
-        )
-        .run();
-        let mut sys = MemSystem::new(
-            sharded_cfg,
-            one_stream(&sharded_cfg, 16),
-            Box::new(shadow_for(&sharded_cfg)),
-        );
-        assert!(sys.sharding_active(), "SHADOW must split per-channel");
-        let sharded = sys.run();
-        assert_eq!(serial, sharded);
-    }
-
-    #[test]
-    fn single_channel_takes_the_serial_path() {
-        let mut cfg = SystemConfig::tiny();
-        cfg.shard_channels = true;
-        cfg.shard_threads = 4;
-        let mut sys = MemSystem::new(cfg, one_stream(&cfg, 17), Box::new(NoMitigation::new()));
-        assert!(
-            !sys.sharding_active(),
-            "one channel has nothing to shard — serial fallback"
-        );
-        let r = sys.run();
-        assert!(r.total_completed() >= cfg.target_requests);
-    }
-
-    #[test]
-    fn force_full_scan_defeats_sharding() {
-        let mut cfg = two_channel_cfg();
-        cfg.shard_channels = true;
-        cfg.force_full_scan = true;
-        let sys = MemSystem::new(cfg, one_stream(&cfg, 18), Box::new(NoMitigation::new()));
-        assert!(
-            !sys.sharding_active(),
-            "the reference engine must stay serial"
-        );
     }
 
     #[test]
@@ -1437,33 +998,6 @@ mod tests {
             assert_eq!(cal, walk, "calendar vs frontier walk (seed {seed})");
             assert_eq!(cal, scan, "calendar vs full scan (seed {seed})");
         }
-    }
-
-    #[test]
-    fn frontier_walk_still_shards() {
-        // The walk engine was the shipping engine under sharding before
-        // the calendar landed; forcing it must not defeat sharding.
-        let serial_cfg = {
-            let mut c = two_channel_cfg();
-            c.force_frontier_walk = true;
-            c
-        };
-        let mut sharded_cfg = serial_cfg;
-        sharded_cfg.shard_channels = true;
-        sharded_cfg.shard_threads = 2;
-        let serial = MemSystem::new(
-            serial_cfg,
-            one_stream(&serial_cfg, 24),
-            Box::new(NoMitigation::new()),
-        )
-        .run();
-        let mut sys = MemSystem::new(
-            sharded_cfg,
-            one_stream(&sharded_cfg, 24),
-            Box::new(NoMitigation::new()),
-        );
-        assert!(sys.sharding_active(), "frontier walk must still shard");
-        assert_eq!(serial, sys.run());
     }
 
     #[test]

@@ -290,8 +290,8 @@ fn deterministic_under_any_knobs() {
 /// The case is checked in by value — geometry, timing, streams, and the
 /// RRS recipe all pinned — so it survives any future reshuffle of the
 /// fuzzer's scheme table or seed mapping. The property is the one the
-/// fuzzer asserted: calendar, frontier-walk, full-scan, and the 2-worker
-/// sharded coordinator stay bit-identical in both report and command trace.
+/// fuzzer asserted: calendar, frontier-walk, and full-scan stay
+/// bit-identical in both report and command trace.
 #[test]
 fn regression_fuzz_cell56_rrs_closed_calendar_fallback() {
     let mut cfg = SystemConfig::tiny();
@@ -378,10 +378,6 @@ fn regression_fuzz_cell56_rrs_closed_calendar_fallback() {
     let (calendar, calendar_trace) = run_variant(&|_| {});
     let (walk, walk_trace) = run_variant(&|c| c.force_frontier_walk = true);
     let (scan, scan_trace) = run_variant(&|c| c.force_full_scan = true);
-    let (sharded, sharded_trace) = run_variant(&|c| {
-        c.shard_channels = true;
-        c.shard_threads = 2;
-    });
 
     assert!(calendar.total_completed() >= cfg.target_requests);
     assert!(
@@ -390,10 +386,8 @@ fn regression_fuzz_cell56_rrs_closed_calendar_fallback() {
     );
     assert_eq!(calendar, walk, "calendar vs frontier-walk");
     assert_eq!(calendar, scan, "calendar vs full-scan");
-    assert_eq!(calendar, sharded, "calendar vs sharded");
     assert_eq!(calendar_trace, walk_trace, "trace: calendar vs walk");
     assert_eq!(calendar_trace, scan_trace, "trace: calendar vs scan");
-    assert_eq!(calendar_trace, sharded_trace, "trace: calendar vs sharded");
 }
 
 /// PRAC's Alert Back-Off recovery, end to end: an aggressive threshold on
@@ -401,9 +395,8 @@ fn regression_fuzz_cell56_rrs_closed_calendar_fallback() {
 /// debt at the ACT-issue point, and the drain issues RFMAB (rank scope,
 /// `PRAC`) or RFMSB (bank scope, `PRACtical`) before normal traffic
 /// resumes. The recovery path rides the refresh-phase command slot and
-/// reads only committed state, so all three serial engines and the
-/// 2-worker sharded coordinator must stay bit-identical in both report
-/// and command trace — the same contract the conformance fuzzer enforces,
+/// reads only committed state, so all three engines must stay
+/// bit-identical in both report and command trace — the same contract the conformance fuzzer enforces,
 /// pinned here at memsys level with the scope split asserted explicitly.
 #[test]
 fn prac_abo_recovery_engines_agree() {
@@ -440,10 +433,6 @@ fn prac_abo_recovery_engines_agree() {
         let (calendar, calendar_trace) = run_variant(&|_| {});
         let (walk, walk_trace) = run_variant(&|c| c.force_frontier_walk = true);
         let (scan, scan_trace) = run_variant(&|c| c.force_full_scan = true);
-        let (sharded, sharded_trace) = run_variant(&|c| {
-            c.shard_channels = true;
-            c.shard_threads = 2;
-        });
 
         assert!(calendar.total_completed() >= cfg.target_requests);
         assert!(calendar.abo_events > 0, "threshold never crossed");
@@ -461,10 +450,8 @@ fn prac_abo_recovery_engines_agree() {
         }
         assert_eq!(calendar, walk, "calendar vs frontier-walk");
         assert_eq!(calendar, scan, "calendar vs full-scan");
-        assert_eq!(calendar, sharded, "calendar vs sharded");
         assert_eq!(calendar_trace, walk_trace, "trace: calendar vs walk");
         assert_eq!(calendar_trace, scan_trace, "trace: calendar vs scan");
-        assert_eq!(calendar_trace, sharded_trace, "trace: calendar vs sharded");
     }
 }
 

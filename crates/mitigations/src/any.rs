@@ -200,14 +200,6 @@ impl Mitigation for AnyMitigation {
     fn tracker_evictions(&self) -> u64 {
         dispatch!(self, m => m.tracker_evictions())
     }
-
-    fn split_channels(
-        &mut self,
-        channels: usize,
-        banks_per_channel: usize,
-    ) -> Option<Vec<Box<dyn Mitigation>>> {
-        dispatch!(self, m => m.split_channels(channels, banks_per_channel))
-    }
 }
 
 #[cfg(test)]

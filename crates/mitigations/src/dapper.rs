@@ -15,8 +15,7 @@
 //!
 //! The scheme rides the standard RFM interface: each RFM slot refreshes
 //! the victims of the currently hottest tracked row and retires its entry.
-//! Everything is per-bank owned data with no RNG, so channel sharding is
-//! exact chunking.
+//! Everything is per-bank owned data with no RNG.
 
 use crate::traits::{ActResponse, Mitigation, RfmAction};
 use crate::victims_of;
@@ -166,32 +165,6 @@ impl Mitigation for Dapper {
     fn tracker_evictions(&self) -> u64 {
         self.tables.iter().map(|t| t.evictions).sum()
     }
-
-    fn split_channels(
-        &mut self,
-        channels: usize,
-        banks_per_channel: usize,
-    ) -> Option<Vec<Box<dyn Mitigation>>> {
-        if self.tables.len() != channels * banks_per_channel {
-            return None;
-        }
-        let mut tables = std::mem::take(&mut self.tables).into_iter();
-        let (rh, rows, raaimt, capacity) =
-            (self.rh, self.rows_per_subarray, self.raaimt, self.capacity);
-        Some(
-            (0..channels)
-                .map(|_| {
-                    Box::new(Dapper {
-                        tables: tables.by_ref().take(banks_per_channel).collect(),
-                        rh,
-                        rows_per_subarray: rows,
-                        raaimt,
-                        capacity,
-                    }) as Box<dyn Mitigation>
-                })
-                .collect(),
-        )
-    }
 }
 
 #[cfg(test)]
@@ -258,19 +231,6 @@ mod tests {
     fn empty_table_rfm_is_noop() {
         let mut d = dapper();
         assert_eq!(d.on_rfm(1), RfmAction::default());
-    }
-
-    #[test]
-    fn split_is_exact_per_bank_chunking() {
-        let mut whole = Dapper::new(4, RhParams::new(4096, 1));
-        let mut src = Dapper::new(4, RhParams::new(4096, 1));
-        let mut pieces = src.split_channels(2, 2).unwrap();
-        for _ in 0..20 {
-            whole.on_activate(3, 42, 0);
-            pieces[1].on_activate(1, 42, 0);
-        }
-        assert_eq!(whole.on_rfm(3), pieces[1].on_rfm(1));
-        assert_eq!(whole.tracker_evictions(), 0);
     }
 
     #[test]

@@ -46,20 +46,6 @@ impl Mitigation for Drr {
     fn refresh_rate_multiplier(&self) -> u32 {
         self.multiplier
     }
-
-    fn split_channels(
-        &mut self,
-        channels: usize,
-        _banks_per_channel: usize,
-    ) -> Option<Vec<Box<dyn Mitigation>>> {
-        // Stateless: the refresh-rate multiplier is consumed at system
-        // construction, so per-channel copies are trivially exact.
-        Some(
-            (0..channels)
-                .map(|_| Box::new(*self) as Box<dyn Mitigation>)
-                .collect(),
-        )
-    }
 }
 
 #[cfg(test)]

@@ -97,9 +97,9 @@ pub enum SeedDomain {
 ///
 /// One PRINCE-CTR block from the bank's reserved counter window
 /// ([`shadow_crypto::substream_counter_range`]) keys the bank's fast
-/// generator. Distinct banks — and therefore distinct channels, which own
-/// disjoint bank ranges — consume disjoint PRINCE counter ranges, so a
-/// scheme split per channel draws exactly what the whole scheme would.
+/// generator. Distinct banks consume disjoint PRINCE counter ranges, so a
+/// bank's draw sequence is independent of the ACT interleaving across
+/// banks, and the scheme's reports are fixed by these windows.
 pub fn bank_stream_seed(seed: u64, domain: SeedDomain, global_bank: usize) -> u64 {
     use shadow_crypto::RandomSource;
     let k1 = match domain {

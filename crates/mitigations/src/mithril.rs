@@ -124,38 +124,6 @@ impl Mitigation for Mithril {
     fn raaimt(&self) -> Option<u32> {
         Some(self.raaimt)
     }
-
-    fn split_channels(
-        &mut self,
-        channels: usize,
-        banks_per_channel: usize,
-    ) -> Option<Vec<Box<dyn Mitigation>>> {
-        if self.tables.len() != channels * banks_per_channel {
-            return None;
-        }
-        let mut tables = std::mem::take(&mut self.tables).into_iter();
-        let (class, rh, rows, raaimt, entries) = (
-            self.class,
-            self.rh,
-            self.rows_per_subarray,
-            self.raaimt,
-            self.entries,
-        );
-        Some(
-            (0..channels)
-                .map(|_| {
-                    Box::new(Mithril {
-                        tables: tables.by_ref().take(banks_per_channel).collect(),
-                        class,
-                        rh,
-                        rows_per_subarray: rows,
-                        raaimt,
-                        entries,
-                    }) as Box<dyn Mitigation>
-                })
-                .collect(),
-        )
-    }
 }
 
 #[cfg(test)]

@@ -10,8 +10,7 @@
 //! Coin flips come from per-bank RNG substreams (seeded through disjoint
 //! PRINCE counter windows, see [`crate::bank_stream_seed`]) so that the
 //! draw sequence observed by one bank is independent of the ACT interleaving
-//! across banks — the property that lets the channel-sharded engine split
-//! PARA per channel without changing any outcome.
+//! across banks.
 
 use crate::traits::{ActResponse, Mitigation};
 use crate::{bank_stream_seed, victims_of, SeedDomain};
@@ -26,10 +25,6 @@ pub struct Para {
     rh: RhParams,
     rows_per_subarray: u32,
     seed: u64,
-    /// First global bank this instance is responsible for (0 for a whole
-    /// scheme; the channel's bank base for a split piece). Bank arguments
-    /// stay instance-local; only RNG seed derivation uses the global index.
-    bank_base: usize,
     /// Lazily grown per-bank coin-flip streams (PARA is sized without a
     /// bank count, so streams materialize on first ACT).
     rngs: Vec<Option<Xoshiro256>>,
@@ -49,7 +44,6 @@ impl Para {
             rh,
             rows_per_subarray: 512,
             seed,
-            bank_base: 0,
             rngs: Vec::new(),
             trr_count: 0,
         }
@@ -75,8 +69,7 @@ impl Para {
         self.p
     }
 
-    /// TRR events fired so far (by this instance; split pieces count their
-    /// own channel's events).
+    /// TRR events fired so far.
     pub fn trr_count(&self) -> u64 {
         self.trr_count
     }
@@ -85,7 +78,7 @@ impl Para {
         if bank >= self.rngs.len() {
             self.rngs.resize_with(bank + 1, || None);
         }
-        let seed = bank_stream_seed(self.seed, SeedDomain::Para, self.bank_base + bank);
+        let seed = bank_stream_seed(self.seed, SeedDomain::Para, bank);
         self.rngs[bank].get_or_insert_with(|| Xoshiro256::seed_from_u64(seed))
     }
 }
@@ -106,31 +99,6 @@ impl Mitigation for Para {
         } else {
             ActResponse::default()
         }
-    }
-
-    fn split_channels(
-        &mut self,
-        channels: usize,
-        banks_per_channel: usize,
-    ) -> Option<Vec<Box<dyn Mitigation>>> {
-        // Per-bank streams are derived purely from (seed, global bank), so a
-        // fresh piece with the channel's bank base reproduces the whole
-        // scheme's draws exactly.
-        Some(
-            (0..channels)
-                .map(|c| {
-                    Box::new(Para {
-                        p: self.p,
-                        rh: self.rh,
-                        rows_per_subarray: self.rows_per_subarray,
-                        seed: self.seed,
-                        bank_base: c * banks_per_channel,
-                        rngs: Vec::new(),
-                        trr_count: 0,
-                    }) as Box<dyn Mitigation>
-                })
-                .collect(),
-        )
     }
 }
 
@@ -172,7 +140,7 @@ mod tests {
     #[test]
     fn banks_draw_independent_streams() {
         // Interleaving ACTs across banks must not perturb any single bank's
-        // coin-flip sequence — the invariant channel sharding relies on.
+        // coin-flip sequence.
         let mut solo = Para::new(0.5, RhParams::new(4096, 1), 7);
         let solo_fires: Vec<bool> = (0..64)
             .map(|i| !solo.on_activate(0, i, 0).refreshes.is_empty())
@@ -184,20 +152,5 @@ mod tests {
             mixed_fires.push(!mixed.on_activate(0, i, 0).refreshes.is_empty());
         }
         assert_eq!(solo_fires, mixed_fires);
-    }
-
-    #[test]
-    fn split_pieces_mirror_whole_scheme() {
-        let mut whole = Para::new(0.5, RhParams::new(4096, 1), 11);
-        let mut pieces = Para::new(0.5, RhParams::new(4096, 1), 11)
-            .split_channels(2, 4)
-            .expect("PARA splits");
-        for i in 0..200u32 {
-            let bank = (i as usize * 7) % 8;
-            let (ch, local) = (bank / 4, bank % 4);
-            let whole_r = whole.on_activate(bank, i, 0);
-            let piece_r = pieces[ch].on_activate(local, i, 0);
-            assert_eq!(whole_r, piece_r, "bank {bank} act {i}");
-        }
     }
 }

@@ -30,7 +30,7 @@ pub struct Rrs {
     rows_per_bank: u32,
     /// Per-bank swap-partner streams (disjoint PRINCE counter windows via
     /// [`crate::bank_stream_seed`]): a bank's partner sequence is
-    /// independent of other banks' activity, so channel sharding is exact.
+    /// independent of other banks' activity.
     rngs: Vec<Xoshiro256>,
     swaps: u64,
     /// Per-bank remap epoch: bumped on every swap of that bank so the
@@ -138,37 +138,6 @@ impl Mitigation for Rrs {
             channel_block_ns: SWAP_BLOCK_NS,
         }
     }
-
-    fn split_channels(
-        &mut self,
-        channels: usize,
-        banks_per_channel: usize,
-    ) -> Option<Vec<Box<dyn Mitigation>>> {
-        if self.trackers.len() != channels * banks_per_channel {
-            return None;
-        }
-        let mut trackers = std::mem::take(&mut self.trackers).into_iter();
-        let mut fwd = std::mem::take(&mut self.fwd).into_iter();
-        let mut rngs = std::mem::take(&mut self.rngs).into_iter();
-        let mut epochs = std::mem::take(&mut self.epochs).into_iter();
-        let (threshold, rows, entries) = (self.threshold, self.rows_per_bank, self.tracker_entries);
-        Some(
-            (0..channels)
-                .map(|_| {
-                    Box::new(Rrs {
-                        trackers: trackers.by_ref().take(banks_per_channel).collect(),
-                        fwd: fwd.by_ref().take(banks_per_channel).collect(),
-                        threshold,
-                        rows_per_bank: rows,
-                        rngs: rngs.by_ref().take(banks_per_channel).collect(),
-                        swaps: 0,
-                        epochs: epochs.by_ref().take(banks_per_channel).collect(),
-                        tracker_entries: entries,
-                    }) as Box<dyn Mitigation>
-                })
-                .collect(),
-        )
-    }
 }
 
 #[cfg(test)]
@@ -262,25 +231,6 @@ mod tests {
             "only {} swaps in 2000 ACTs",
             m.swap_count()
         );
-    }
-
-    #[test]
-    fn split_pieces_mirror_whole_scheme() {
-        let mut whole = Rrs::new(4, 256, RhParams::new(600, 3), 11);
-        let mut pieces = Rrs::new(4, 256, RhParams::new(600, 3), 11)
-            .split_channels(2, 2)
-            .expect("RRS splits");
-        for i in 0..1500u64 {
-            let bank = (i as usize * 3) % 4;
-            let (ch, local) = (bank / 2, bank % 2);
-            let row = 7;
-            let whole_r = whole.on_activate(bank, row, i);
-            let piece_r = pieces[ch].on_activate(local, row, i);
-            assert_eq!(whole_r, piece_r, "bank {bank} act {i}");
-            assert_eq!(whole.remap_epoch(bank), pieces[ch].remap_epoch(local));
-            assert_eq!(whole.translate(bank, row), pieces[ch].translate(local, row));
-        }
-        assert!(whole.swap_count() > 0, "test traffic should trigger swaps");
     }
 
     #[test]

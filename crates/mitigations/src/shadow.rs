@@ -135,31 +135,6 @@ impl Mitigation for ShadowMitigation {
     fn da_rows_per_subarray(&self, rows_per_subarray: u32) -> u32 {
         rows_per_subarray + 1
     }
-
-    fn split_channels(
-        &mut self,
-        channels: usize,
-        banks_per_channel: usize,
-    ) -> Option<Vec<Box<dyn Mitigation>>> {
-        if self.banks.len() != channels * banks_per_channel {
-            return None;
-        }
-        // Each ShadowBank already carries its own RNG keyed by its global
-        // bank index, so moving the controllers wholesale is an exact split.
-        let mut banks = std::mem::take(&mut self.banks).into_iter();
-        let (raaimt, t_rcd_extra) = (self.raaimt, self.t_rcd_extra);
-        Some(
-            (0..channels)
-                .map(|_| {
-                    Box::new(ShadowMitigation {
-                        banks: banks.by_ref().take(banks_per_channel).collect(),
-                        raaimt,
-                        t_rcd_extra,
-                    }) as Box<dyn Mitigation>
-                })
-                .collect(),
-        )
-    }
 }
 
 #[cfg(test)]

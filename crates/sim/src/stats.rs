@@ -181,8 +181,8 @@ impl Histogram {
     ///
     /// The result is exactly the histogram a single accumulator would have
     /// produced from the union of both sample sets — the property the
-    /// channel-sharded engine's per-shard latency histograms rely on to
-    /// merge into a bit-identical report.
+    /// memory system's per-channel latency histograms rely on to merge
+    /// into one exact report.
     ///
     /// # Panics
     ///
