@@ -547,6 +547,11 @@ fn want_u64(v: &Json, at: &str) -> Result<u64, RecipeError> {
         .map_err(|_| RecipeError(format!("{at}: expected a non-negative integer")))
 }
 
+fn want_u32(v: &Json, at: &str) -> Result<u32, RecipeError> {
+    let n = want_u64(v, at)?;
+    u32::try_from(n).map_err(|_| RecipeError(format!("{at}: {n} exceeds {}", u32::MAX)))
+}
+
 fn want_f64(v: &Json, at: &str) -> Result<f64, RecipeError> {
     v.as_f64()
         .map_err(|_| RecipeError(format!("{at}: expected a number")))
@@ -641,7 +646,7 @@ impl Recipe {
             exec.threads = Some(t as usize);
         }
         if let Some(v) = campaign.get("retry_budget") {
-            exec.retry.budget = want_u64(v, "[campaign].retry_budget")? as u32;
+            exec.retry.budget = want_u32(v, "[campaign].retry_budget")?;
         }
         if let Some(v) = campaign.get("retry_base_ms") {
             exec.retry.base_delay_ms = want_u64(v, "[campaign].retry_base_ms")?;
@@ -650,7 +655,7 @@ impl Recipe {
             exec.retry.max_delay_ms = want_u64(v, "[campaign].retry_max_ms")?;
         }
         if let Some(v) = campaign.get("max_total_retries") {
-            exec.max_total_retries = Some(want_u64(v, "[campaign].max_total_retries")? as u32);
+            exec.max_total_retries = Some(want_u32(v, "[campaign].max_total_retries")?);
         }
         if let Some(v) = campaign.get("cell_deadline_secs") {
             let d = want_f64(v, "[campaign].cell_deadline_secs")?;
@@ -730,7 +735,19 @@ impl Recipe {
             };
             let requests = num_list("requests")?;
             let h_cnt = num_list("h_cnt")?;
-            let blast: Vec<u32> = num_list("blast")?.iter().map(|&b| b as u32).collect();
+            if h_cnt.contains(&0) {
+                return err(format!("{at}.h_cnt: every entry must be positive"));
+            }
+            let blast: Vec<u32> = match s.get("blast") {
+                None => Vec::new(),
+                Some(v) => want_arr(v, &format!("{at}.blast"))?
+                    .iter()
+                    .map(|n| match want_u32(n, &format!("{at}.blast[]"))? {
+                        0 => err(format!("{at}.blast[]: must be at least 1")),
+                        b => Ok(b),
+                    })
+                    .collect::<Result<_, _>>()?,
+            };
             let engine: Vec<EngineChoice> = match s.get("engine") {
                 None => Vec::new(),
                 Some(v) => want_arr(v, &format!("{at}.engine"))?
@@ -1117,6 +1134,46 @@ engine = ["warp-drive"]
         .expect_err("unknown engine");
         assert!(e.0.contains("unknown engine `warp-drive`"), "{e}");
         assert!(e.0.contains("calendar, frontier_walk, full_scan"), "{e}");
+    }
+
+    #[test]
+    fn zero_or_oversized_rh_axes_are_named_errors() {
+        let with = |axis: &str| {
+            format!(
+                "[campaign]\nname = \"rh\"\n[[scenario]]\npreset = \"tiny\"\n\
+                 workloads = [\"random-stream\"]\nschemes = [\"baseline\"]\n{axis}\n"
+            )
+        };
+        // Each of these used to parse, then panic in `RhParams::new` when
+        // the grid expanded, or silently turn into a different radius.
+        for (axis, needle) in [
+            ("h_cnt = [64, 0]", "h_cnt: every entry must be positive"),
+            ("blast = [0]", "blast[]: must be at least 1"),
+            (
+                "blast = [4294967296]",
+                "blast[]: 4294967296 exceeds 4294967295",
+            ),
+            (
+                "blast = [4294967297]",
+                "blast[]: 4294967297 exceeds 4294967295",
+            ),
+        ] {
+            let e = Recipe::parse(&with(axis)).expect_err(axis);
+            assert!(e.0.contains(needle), "{axis}: {e}");
+        }
+        let max = Recipe::parse(&with("blast = [4294967295]")).expect("u32::MAX is a radius");
+        assert_eq!(max.scenarios[0].blast, vec![u32::MAX]);
+        for key in ["retry_budget", "max_total_retries"] {
+            let text = with("").replace(
+                "name = \"rh\"",
+                &format!("name = \"rh\"\n{key} = 4294967296"),
+            );
+            let e = Recipe::parse(&text).expect_err(key);
+            assert!(
+                e.0.contains(&format!("[campaign].{key}: 4294967296 exceeds")),
+                "{e}"
+            );
+        }
     }
 
     /// A `[[scenario]]` whose axes each repeat one valid entry `n` times.

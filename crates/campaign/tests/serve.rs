@@ -149,3 +149,29 @@ fn oversized_grid_answers_in_band_and_server_survives() {
         "server exits 0 after two submissions"
     );
 }
+
+#[test]
+fn zero_hammer_threshold_answers_in_band_and_server_survives() {
+    // `h_cnt = [0]` used to pass parsing and panic in `RhParams::new` when
+    // the grid expanded, inside the accept loop, taking the server down.
+    let bad = RECIPE.replace("requests = [200, 300]", "requests = [200]\nh_cnt = [0]");
+    let path = socket_path("zero-hcnt");
+    let server = start_server(&path, 2);
+    let rejected = submit(&path, &bad);
+    assert_eq!(rejected.len(), 1, "one error line: {rejected:?}");
+    assert_eq!(event_kind(&rejected[0]), "error");
+    let message = rejected[0].get("message").unwrap().as_str().unwrap();
+    assert!(
+        message.contains("h_cnt: every entry must be positive"),
+        "{message}"
+    );
+    let events = submit(&path, RECIPE);
+    assert_eq!(events.last().map(event_kind), Some("campaign-finished"));
+    let exit_code = events.last().unwrap().get("exit_code").unwrap();
+    assert_eq!(exit_code.as_u64().unwrap(), 0, "the next submission runs");
+    assert_eq!(
+        server.join().unwrap(),
+        0,
+        "server exits 0 after two submissions"
+    );
+}

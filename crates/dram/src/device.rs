@@ -207,7 +207,7 @@ impl DramDevice {
 
     /// Whether `rank`'s refresh debt has hit the JEDEC postponement limit.
     pub fn refresh_urgent(&self, rank: u32, now: Cycle) -> bool {
-        self.rank_lane(rank).refresh_urgent(rank, now, &self.timing)
+        self.rank_lane(rank).refresh_urgent(rank, now)
     }
 
     /// Rows covered by one REF in each bank of a rank.

@@ -30,6 +30,10 @@ pub struct ChannelLane {
     rank_base: u32,
     banks: Vec<BankState>,
     ranks: Vec<RankState>,
+    /// Per-local-rank count of banks with an open row, kept by
+    /// [`apply`](Self::apply) (ACT opens, PRE of an open bank closes; no
+    /// other command changes a bank's phase).
+    open_banks: Vec<u32>,
     /// Cycle at which the channel data bus frees.
     bus_free: Cycle,
     /// Per-local-rank earliest RD after the last WR (write-to-read
@@ -56,6 +60,7 @@ impl ChannelLane {
             rank_base: channel * ranks,
             banks: vec![BankState::new(); (ranks * bpr) as usize],
             ranks: (0..ranks).map(|_| RankState::new(tp)).collect(),
+            open_banks: vec![0; ranks as usize],
             bus_free: 0,
             wtr_ready: vec![0; ranks as usize],
             last_cas_any: None,
@@ -104,6 +109,23 @@ impl ChannelLane {
     /// The row currently open in `bank`, if any.
     pub fn open_row(&self, bank: BankId) -> Option<RowId> {
         self.banks[self.lb(bank)].open_row()
+    }
+
+    /// How many banks of `rank` have a row open. O(1): the count is kept
+    /// by [`apply`](Self::apply); debug builds re-count it on every call.
+    #[inline]
+    pub fn open_banks(&self, rank: u32) -> u32 {
+        let lr = self.lr(rank);
+        let bpr = self.banks_per_rank as usize;
+        debug_assert_eq!(
+            self.open_banks[lr] as usize,
+            self.banks[lr * bpr..(lr + 1) * bpr]
+                .iter()
+                .filter(|b| b.open_row().is_some())
+                .count(),
+            "open-bank count drifted on rank {rank}"
+        );
+        self.open_banks[lr]
     }
 
     /// Lifetime ACT count of `bank`.
@@ -235,8 +257,16 @@ impl ChannelLane {
     }
 
     /// Whether `rank`'s refresh debt has hit the JEDEC postponement limit.
-    pub fn refresh_urgent(&self, rank: u32, now: Cycle, tp: &TimingParams) -> bool {
-        self.ranks[self.lr(rank)].must_refresh(now, tp)
+    #[inline]
+    pub fn refresh_urgent(&self, rank: u32, now: Cycle) -> bool {
+        self.ranks[self.lr(rank)].must_refresh(now)
+    }
+
+    /// The exact cycle `rank`'s refresh becomes urgent:
+    /// `refresh_urgent(rank, now)` is precisely `now >= urgent_at(rank)`.
+    #[inline]
+    pub fn urgent_at(&self, rank: u32) -> Cycle {
+        self.ranks[self.lr(rank)].urgent_at()
     }
 
     /// Rows covered by one REF in each bank of a rank.
@@ -274,10 +304,15 @@ impl ChannelLane {
                 let rank = self.rank_of(lb);
                 self.banks[lb].on_act(t, row, tp);
                 self.ranks[rank].on_act(t, group, tp);
+                self.open_banks[rank] += 1;
                 IssueResult::default()
             }
             DramCommand::Pre { bank } => {
                 let lb = self.lb(bank);
+                if self.banks[lb].open_row().is_some() {
+                    let rank = self.rank_of(lb);
+                    self.open_banks[rank] -= 1;
+                }
                 self.banks[lb].on_pre(t, tp);
                 IssueResult::default()
             }

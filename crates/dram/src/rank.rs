@@ -26,6 +26,10 @@ pub struct RankState {
     refresh_ready: Cycle,
     /// Deadline-tracking: next scheduled tREFI tick.
     next_refi: Cycle,
+    /// The first cycle the refresh debt reaches [`Self::MAX_POSTPONE`]:
+    /// `next_refi + (MAX_POSTPONE - 1) * tREFI`. Moves with `next_refi`, so
+    /// the urgency test is one compare instead of a division.
+    urgent_at: Cycle,
     /// REF commands issued.
     refs: u64,
     /// Sequential refresh pointer (which row block the next REF covers).
@@ -42,6 +46,7 @@ impl RankState {
             group_act: Vec::new(),
             refresh_ready: 0,
             next_refi: tp.t_refi,
+            urgent_at: tp.t_refi.saturating_add(Self::postpone_span(tp)),
             refs: 0,
             refresh_row_ptr: 0,
         }
@@ -109,10 +114,28 @@ impl RankState {
     /// Maximum REF commands JEDEC allows a controller to postpone.
     pub const MAX_POSTPONE: u64 = 8;
 
+    /// Cycles between a refresh falling due and its debt reaching
+    /// [`Self::MAX_POSTPONE`].
+    fn postpone_span(tp: &TimingParams) -> Cycle {
+        (Self::MAX_POSTPONE - 1).saturating_mul(tp.t_refi)
+    }
+
+    /// The exact first cycle at which [`must_refresh`](Self::must_refresh)
+    /// holds: `next_refi() + (MAX_POSTPONE - 1) * tREFI`. Moves only when a
+    /// REF is issued.
+    #[inline]
+    pub fn urgent_at(&self) -> Cycle {
+        self.urgent_at
+    }
+
     /// Whether the refresh debt has reached the JEDEC postponement limit —
-    /// the controller *must* drain and refresh now.
-    pub fn must_refresh(&self, now: Cycle, tp: &TimingParams) -> bool {
-        self.refresh_debt(now, tp) >= Self::MAX_POSTPONE
+    /// the controller *must* drain and refresh now. Equal to
+    /// `refresh_debt(now) >= MAX_POSTPONE` at every cycle: the debt is
+    /// `1 + (now - next_refi) / tREFI` once due, which reaches the limit
+    /// exactly when `now - next_refi >= (MAX_POSTPONE - 1) * tREFI`.
+    #[inline]
+    pub fn must_refresh(&self, now: Cycle) -> bool {
+        now >= self.urgent_at
     }
 
     /// Records a REF issued at cycle `t`; returns the cycle the rank is
@@ -121,6 +144,7 @@ impl RankState {
         let done = t + tp.t_rfc;
         self.refresh_ready = done;
         self.next_refi += tp.t_refi;
+        self.urgent_at = self.next_refi.saturating_add(Self::postpone_span(tp));
         self.refs += 1;
         let ptr = self.refresh_row_ptr;
         // Each REF covers rows_per_bank / refs_per_window rows in every bank.
@@ -214,8 +238,8 @@ mod tests {
     fn postponement_limit() {
         let t = tp();
         let r = RankState::new(&t);
-        assert!(!r.must_refresh(t.t_refi * 7, &t));
-        assert!(r.must_refresh(t.t_refi * RankState::MAX_POSTPONE, &t));
+        assert!(!r.must_refresh(t.t_refi * 7));
+        assert!(r.must_refresh(t.t_refi * RankState::MAX_POSTPONE));
     }
 
     #[test]
@@ -223,11 +247,36 @@ mod tests {
         let t = tp();
         let mut r = RankState::new(&t);
         let now = t.t_refi * RankState::MAX_POSTPONE;
-        assert!(r.must_refresh(now, &t));
+        assert!(r.must_refresh(now));
         for i in 0..RankState::MAX_POSTPONE {
             r.on_refresh(now + i * t.t_rfc, 64, &t);
         }
-        assert!(!r.must_refresh(now + 8 * t.t_rfc, &t));
+        assert!(!r.must_refresh(now + 8 * t.t_rfc));
+    }
+
+    #[test]
+    fn closed_form_urgency_matches_the_debt_formula() {
+        // Every cycle from just before the first deadline to nine tREFI past
+        // it, across several REFs issued at different lags: the one-compare
+        // test must agree with the division-based debt at each of them.
+        let t = tp();
+        let mut r = RankState::new(&t);
+        for lag in [0, 1, t.t_refi / 2, 3 * t.t_refi, 8 * t.t_refi] {
+            let due = r.next_refi();
+            assert_eq!(
+                r.urgent_at(),
+                due + (RankState::MAX_POSTPONE - 1) * t.t_refi
+            );
+            for now in due - 2..=due + 9 * t.t_refi {
+                assert_eq!(
+                    r.must_refresh(now),
+                    r.refresh_debt(now, &t) >= RankState::MAX_POSTPONE,
+                    "cycle {now}, deadline {due}"
+                );
+            }
+            r.on_refresh(due + lag, 64, &t);
+        }
+        assert_eq!(r.ref_count(), 5);
     }
 
     #[test]

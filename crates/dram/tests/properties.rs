@@ -9,6 +9,7 @@
 use shadow_dram::command::DramCommand;
 use shadow_dram::device::DramDevice;
 use shadow_dram::geometry::{BankId, DramGeometry};
+use shadow_dram::lane::ChannelLane;
 use shadow_dram::rank::RankState;
 use shadow_dram::rfm::RaaCounters;
 use shadow_dram::sppr::SpprResources;
@@ -90,6 +91,73 @@ fn random_legal_streams_never_violate_protocol() {
             .map(|c| dev.stats().get(c))
             .sum();
         assert!(total >= ops.len() as u64);
+    }
+}
+
+/// The lane's per-rank open-bank count equals a recount of open rows after
+/// every command of a random legal stream: ACT, PRE (to open and to already
+/// precharged banks), RD/WR, bank RFM, and the rank-wide REF and RFMAB
+/// (issued once the stream has closed the rank's rows). The lane models
+/// the second channel of a two-channel, two-rank geometry, so the global
+/// bank and rank ids it takes are rebased.
+#[test]
+fn open_bank_count_matches_recount_under_random_streams() {
+    let geo = DramGeometry {
+        channels: 2,
+        ranks_per_channel: 2,
+        bank_groups: 2,
+        banks_per_group: 2,
+        ..DramGeometry::tiny()
+    };
+    let tp = TimingParams::tiny();
+    let bpr = geo.banks_per_rank();
+    let channel = 1;
+    let rank_base = channel * geo.ranks_per_channel;
+    let bank_base = rank_base * bpr;
+    let recount = |lane: &ChannelLane, rank: u32| {
+        (0..bpr)
+            .filter(|b| lane.open_row(BankId(rank * bpr + b)).is_some())
+            .count() as u32
+    };
+    let mut gen = Xoshiro256::seed_from_u64(0xD4A8_0006);
+    for _ in 0..40 {
+        let mut lane = ChannelLane::new(channel, &geo, &tp);
+        let mut now = 0;
+        for _ in 0..400 {
+            let lr = gen.gen_index(geo.ranks_per_channel as usize) as u32;
+            let rank = rank_base + lr;
+            let bank = BankId(bank_base + lr * bpr + gen.gen_index(bpr as usize) as u32);
+            let all_closed = recount(&lane, rank) == 0;
+            let (cmd, t) = match (lane.open_row(bank), gen.gen_index(6)) {
+                (None, 0) => (DramCommand::Pre { bank }, lane.earliest_pre(bank, now)),
+                (None, 1) => (DramCommand::Rfm { bank }, lane.earliest_act(bank, now, &tp)),
+                (None, 2) if all_closed => {
+                    (DramCommand::Ref { rank }, lane.earliest_ref(rank, now))
+                }
+                (None, 3) if all_closed => {
+                    (DramCommand::Rfmab { rank }, lane.earliest_ref(rank, now))
+                }
+                (None, _) => {
+                    let row = gen.gen_index(geo.rows_per_bank() as usize) as u32;
+                    (
+                        DramCommand::Act { bank, row },
+                        lane.earliest_act(bank, now, &tp),
+                    )
+                }
+                (Some(_), 0 | 1) => (DramCommand::Pre { bank }, lane.earliest_pre(bank, now)),
+                (Some(_), 2) => (DramCommand::Wr { bank }, lane.earliest_wr(bank, now, &tp)),
+                (Some(_), _) => (DramCommand::Rd { bank }, lane.earliest_rd(bank, now, &tp)),
+            };
+            lane.apply(cmd, t, &tp);
+            now = t;
+            for r in rank_base..rank_base + geo.ranks_per_channel {
+                assert_eq!(
+                    lane.open_banks(r),
+                    recount(&lane, r),
+                    "after {cmd:?} at {t}"
+                );
+            }
+        }
     }
 }
 
@@ -213,7 +281,7 @@ fn rfm_postponement_ceiling_credits_raa() {
         let now = tp.t_refi * debt;
         assert_eq!(rank.refresh_debt(now, &tp), debt);
         assert_eq!(
-            rank.must_refresh(now, &tp),
+            rank.must_refresh(now),
             debt >= RankState::MAX_POSTPONE,
             "urgency must trip exactly at the ceiling (debt {debt})"
         );
@@ -229,7 +297,7 @@ fn rfm_postponement_ceiling_credits_raa() {
             t = done;
         }
         assert_eq!(rank.refresh_debt(t, &tp), 0, "drain left debt behind");
-        assert!(!rank.must_refresh(t, &tp));
+        assert!(!rank.must_refresh(t));
         assert_eq!(rank.ref_count(), debt);
         // A fully-drained postponement stretch leaves demand only if the
         // ACT volume outran the credits.

@@ -73,13 +73,35 @@
 //! `SystemConfig::force_unresolved_calendar` defeats both paths (the
 //! seventh differential-fuzzer variant); debug builds additionally
 //! re-derive every consumed decision and assert it matches.
+//!
+//! # What a pass costs
+//!
+//! A pass and a `next_min` recompute cost O(banks visited). The rank-wide
+//! facts that the refresh phase, the hoisted gates and the refresh wake
+//! read change once per command or once per tREFI, so they are kept up to
+//! date where they change instead of being rescanned every pass:
+//!
+//!  - the lane counts each rank's open banks
+//!    ([`ChannelLane::open_banks`]);
+//!  - each rank holds the cycle its refresh turns urgent
+//!    (`RankState::urgent_at`), so the urgency test is one compare;
+//!  - the shard keeps a running total of outstanding ABO recovery debt,
+//!    so a scheme without ABO never scans its recovery slots.
+//!
+//! A due rank with a row open and debt below the JEDEC limit can only
+//! postpone, so the refresh phase and
+//! [`refresh_wake`](method@ChannelShard::refresh_wake) settle it in O(1).
+//! Only the rare all-precharged and urgent-drain cases walk the rank's
+//! banks. A shard that is [`idle_at`](ChannelShard::idle_at) the current
+//! cycle is not called at all: the coordinator tests the same condition
+//! inline, skips the pass, and reads `next_min`'s cached value without a
+//! call.
 
 use std::collections::{HashMap, VecDeque};
 
 use shadow_dram::command::DramCommand;
 use shadow_dram::geometry::BankId;
 use shadow_dram::lane::ChannelLane;
-use shadow_dram::rank::RankState;
 use shadow_dram::rfm::RaaCounters;
 use shadow_dram::timing::TimingParams;
 use shadow_mitigations::{AboScope, AboSpec, AnyMitigation, Mitigation};
@@ -401,6 +423,10 @@ pub(crate) struct ChannelShard {
     recovery_due_rank: Vec<u32>,
     /// Per-local-bank outstanding RFMSB recovery commands (Bank scope).
     recovery_due_bank: Vec<u32>,
+    /// Sum of `recovery_due_rank` and `recovery_due_bank`, kept at the
+    /// sites that arm and drain recovery, so
+    /// [`recovery_pending`](Self::recovery_pending) is one compare.
+    recovery_debt: u32,
     /// Per-pass hoisted rank gate: `true` while the rank's refresh drain
     /// is urgent or rank-scope ABO recovery debt is outstanding — the two
     /// rank-wide conditions `schedule_bank` must yield to. Recomputed once
@@ -540,6 +566,7 @@ impl ChannelShard {
             abo: None,
             recovery_due_rank: vec![0; ranks],
             recovery_due_bank: vec![0; banks],
+            recovery_debt: 0,
             rank_closed: vec![false; ranks],
             rank_gate_skips: vec![0; ranks],
             bus_gate_skips: 0,
@@ -584,14 +611,49 @@ impl ChannelShard {
         self.abo = abo;
     }
 
-    /// Whether any ABO recovery is outstanding on this channel.
+    /// Whether any ABO recovery is outstanding on this channel. O(1): reads
+    /// the running `recovery_debt` total, which debug builds check against
+    /// a scan of every rank and bank slot.
     #[inline]
     fn recovery_pending(&self) -> bool {
-        self.recovery_due_rank.iter().any(|&d| d > 0)
-            || self.recovery_due_bank.iter().any(|&d| d > 0)
+        debug_assert_eq!(
+            self.recovery_debt,
+            self.recovery_due_rank.iter().sum::<u32>() + self.recovery_due_bank.iter().sum::<u32>(),
+            "ABO recovery total drifted"
+        );
+        self.recovery_debt > 0
+    }
+
+    /// Arms `spec.rfms_per_alert` recovery commands for an alert raised by
+    /// an ACT to local bank `local`: on its rank (Rank scope) or on the
+    /// bank itself (Bank scope).
+    #[inline]
+    fn arm_recovery(&mut self, local: usize, spec: AboSpec) {
+        match spec.scope {
+            AboScope::Rank => self.recovery_due_rank[local / self.bpr] += spec.rfms_per_alert,
+            AboScope::Bank => self.recovery_due_bank[local] += spec.rfms_per_alert,
+        }
+        self.recovery_debt += spec.rfms_per_alert;
+    }
+
+    /// Whether the whole pass at `now` is provably a no-op when no
+    /// admission arrives (calendar engine only): the last
+    /// [`next_min`](Self::next_min) is still valid (`cache_clean`), put
+    /// every bank event beyond `now`, found no armed consult and no bank
+    /// that needs per-pass examination (`skip_ok`), and the refresh phase
+    /// cannot act before [`refresh_wake`](field@Self::refresh_wake). The
+    /// coordinator reads it to skip calling [`pass`](Self::pass) at all.
+    #[inline]
+    pub fn idle_at(&self, now: Cycle) -> bool {
+        self.engine == EngineMode::Calendar
+            && self.cache_clean
+            && self.skip_ok
+            && self.cached_next > now
+            && self.refresh_wake > now
     }
 
     /// Requests queued across the shard's banks.
+    #[inline]
     pub fn queued(&self) -> usize {
         self.queued
     }
@@ -599,6 +661,7 @@ impl ChannelShard {
     /// The legacy-form next-event bound computed by the last
     /// [`next_min`](Self::next_min) call (see the [`legacy_next`]
     /// (field@Self::legacy_next) field). Read it right after `next_min`.
+    #[inline]
     pub fn legacy_next(&self) -> Cycle {
         self.legacy_next
     }
@@ -608,6 +671,7 @@ impl ChannelShard {
     /// eager-PRE bank). When *any* shard reports false, the coordinator
     /// must advance the clock by the legacy bounds — see
     /// [`legacy_next`](field@Self::legacy_next).
+    #[inline]
     pub fn skip_ok(&self) -> bool {
         self.skip_ok
     }
@@ -783,22 +847,13 @@ impl ChannelShard {
         admits: &mut Vec<(usize, QueuedReq)>,
         mit: &mut AnyMitigation,
     ) -> ShardReply {
-        // Shard-level skip (calendar engine): when the last `next_min`
-        // proved every bank event lies beyond `now`, no consult is armed,
-        // nothing needs per-pass examination (`skip_ok`), no admission
-        // arrived, and the refresh phase provably cannot act before
-        // `refresh_wake` (exact and fresh under `cache_clean`), the walk
-        // engine's pass is provably a no-op: every bank visit would take
-        // the frontier-gate skip and the refresh engine would not fire.
-        // Skipping it wholesale is therefore exact, and the cache stays
-        // clean for `next_min` to reuse.
-        if self.engine == EngineMode::Calendar
-            && admits.is_empty()
-            && self.cache_clean
-            && self.skip_ok
-            && self.cached_next > now
-            && self.refresh_wake > now
-        {
+        // Shard-level skip (calendar engine): with no admission and the
+        // shard `idle_at(now)`, the walk engine's pass is provably a no-op:
+        // every bank visit would take the frontier-gate skip and the
+        // refresh engine would not fire. Skipping it wholesale is
+        // therefore exact, and the cache stays clean for `next_min` to
+        // reuse.
+        if admits.is_empty() && self.idle_at(now) {
             debug_assert!(self.pending_completion.is_none());
             return ShardReply {
                 progressed: false,
@@ -821,15 +876,19 @@ impl ChannelShard {
             if !self.lane().refresh_due(rank, now) {
                 continue;
             }
-            let urgent = self.lane().refresh_urgent(rank, now, &self.timing);
-            let mut all_idle = true;
-            for b in 0..self.bpr {
-                let local = lr * self.bpr + b;
-                let bank = self.gbank(local);
-                if self.lane().open_row(bank).is_some() {
-                    all_idle = false;
-                    if !urgent {
-                        continue; // postpone: let the open row keep serving
+            if self.lane().open_banks(rank) > 0 {
+                // A row is open, so no REF yet. Below the postponement
+                // limit the rank just postpones (the open rows keep
+                // serving); at the limit the controller force-drains it,
+                // one PRE per pass.
+                if !self.lane().refresh_urgent(rank, now) {
+                    continue;
+                }
+                for b in 0..self.bpr {
+                    let local = lr * self.bpr + b;
+                    let bank = self.gbank(local);
+                    if self.lane().open_row(bank).is_none() {
+                        continue;
                     }
                     let t = self.lane().earliest_pre(bank, now);
                     if t <= now && self.cmd_ready <= now && self.block_until <= now {
@@ -847,12 +906,12 @@ impl ChannelShard {
                         progressed = true;
                     }
                 }
+                continue;
             }
             // REF rides the same per-channel command bus as everything
             // else: without the claim below, a rank sharing its channel
             // could see a REF and a demand command in the same cycle.
-            if all_idle
-                && self.lane().earliest_ref(rank, now) <= now
+            if self.lane().earliest_ref(rank, now) <= now
                 && self.cmd_ready <= now
                 && self.block_until <= now
             {
@@ -891,10 +950,8 @@ impl ChannelShard {
         // also claims the command bus, behind which no later visit reads
         // these values (the bus gate precedes the rank gate).
         for lr in 0..self.ranks {
-            let closed = self.recovery_due_rank[lr] > 0
-                || self
-                    .lane()
-                    .refresh_urgent(self.grank(lr), now, &self.timing);
+            let closed =
+                self.recovery_due_rank[lr] > 0 || self.lane().refresh_urgent(self.grank(lr), now);
             self.rank_closed[lr] = closed;
         }
 
@@ -963,6 +1020,7 @@ impl ChannelShard {
             if all_idle && self.lane().earliest_ref(rank, now) <= now {
                 self.issue(DramCommand::Rfmab { rank }, now);
                 self.recovery_due_rank[lr] -= 1;
+                self.recovery_debt -= 1;
                 self.abo_recovery_cycles += self.timing.t_rfm;
                 for b in 0..self.bpr {
                     let local = lr * self.bpr + b;
@@ -1002,6 +1060,7 @@ impl ChannelShard {
             if self.lane().earliest_act(bank, now, &self.timing) <= now {
                 self.issue(DramCommand::Rfmsb { bank }, now);
                 self.recovery_due_bank[local] -= 1;
+                self.recovery_debt -= 1;
                 self.abo_recovery_cycles += self.timing.t_rfm;
                 let t = PhaseTimer::start(&mut self.profile);
                 let action = mit.on_recovery_rfm(self.bank_base + local);
@@ -1486,14 +1545,7 @@ impl ChannelShard {
             if let Some(spec) = self.abo {
                 if mit.on_act_issued(mit_bank, da) {
                     self.abo_events += 1;
-                    match spec.scope {
-                        AboScope::Rank => {
-                            self.recovery_due_rank[local / self.bpr] += spec.rfms_per_alert;
-                        }
-                        AboScope::Bank => {
-                            self.recovery_due_bank[local] += spec.rfms_per_alert;
-                        }
-                    }
+                    self.arm_recovery(local, spec);
                 }
             }
             return true;
@@ -1733,14 +1785,7 @@ impl ChannelShard {
                     if let Some(spec) = self.abo {
                         if mit.on_act_issued(mit_bank, da) {
                             self.abo_events += 1;
-                            match spec.scope {
-                                AboScope::Rank => {
-                                    self.recovery_due_rank[local / self.bpr] += spec.rfms_per_alert;
-                                }
-                                AboScope::Bank => {
-                                    self.recovery_due_bank[local] += spec.rfms_per_alert;
-                                }
-                            }
+                            self.arm_recovery(local, spec);
                         }
                     }
                     return true;
@@ -1932,6 +1977,10 @@ impl ChannelShard {
     /// over its active banks' frontiers (memoized) and its ranks' refresh
     /// deadlines. Unclamped — the coordinator applies `max(now + 1)` after
     /// folding in completions and core eligibility.
+    ///
+    /// Inline so the coordinator's common case, a cache hit, costs a few
+    /// compares and no call; only a miss runs the out-of-line recompute.
+    #[inline]
     pub fn next_min(&mut self, now: Cycle, mit: &mut AnyMitigation) -> Cycle {
         // Cache reuse (calendar engine): every input — the memoized raws,
         // the bus floor, the refresh deadlines — is committed shard state,
@@ -1941,6 +1990,12 @@ impl ChannelShard {
         if self.engine == EngineMode::Calendar && self.cache_clean && self.cached_next > now {
             return self.cached_next;
         }
+        self.recompute_next_min(now, mit)
+    }
+
+    /// The cache-miss half of [`next_min`](Self::next_min).
+    #[inline(never)]
+    fn recompute_next_min(&mut self, now: Cycle, mit: &mut AnyMitigation) -> Cycle {
         let sched = PhaseTimer::start(&mut self.profile);
         let mut next = Cycle::MAX;
         let mut skip_ok = true;
@@ -2125,12 +2180,16 @@ impl ChannelShard {
     ///
     /// * **rows open, debt below the JEDEC limit** — the phase postpones
     ///   at every pass, so it is a no-op until the urgency cycle
-    ///   (`deadline + (MAX_POSTPONE - 1) * tREFI`, the first cycle
-    ///   [`RankState::must_refresh`] holds);
+    ///   ([`RankState::urgent_at`](shadow_dram::rank::RankState::urgent_at),
+    ///   the first cycle `RankState::must_refresh` holds);
     /// * **all banks precharged** — the next cycle a REF can actually
     ///   start: the due deadline, rank readiness, and the command bus;
     /// * **urgent force-drain with rows open** — the next cycle a PRE can
     ///   land on the earliest-ready open bank.
+    ///
+    /// The first case, the common one under load, is O(1): the lane keeps
+    /// each rank's open-bank count and its urgency cycle, so only the two
+    /// rare cases walk the rank's banks.
     ///
     /// Exact because every input — open rows, bank/rank readiness, the
     /// bus claim, the deadline itself — mutates only inside a pass that
@@ -2140,8 +2199,19 @@ impl ChannelShard {
     fn refresh_wake(&self, lr: usize, now: Cycle) -> Cycle {
         let rank = self.grank(lr);
         let lane = self.lane();
-        let deadline = lane.refresh_deadline(rank);
+        let urgent_at = lane.urgent_at(rank);
+        let open = lane.open_banks(rank) > 0;
+        if open && now < urgent_at {
+            return urgent_at;
+        }
         let bus = self.cmd_ready.max(self.block_until);
+        if !open {
+            // All banks precharged: the next REF start.
+            return lane
+                .refresh_deadline(rank)
+                .max(lane.earliest_ref(rank, now))
+                .max(bus);
+        }
         let mut min_pre = Cycle::MAX;
         for b in 0..self.bpr {
             let bank = self.gbank(lr * self.bpr + b);
@@ -2149,18 +2219,7 @@ impl ChannelShard {
                 min_pre = min_pre.min(lane.earliest_pre(bank, now));
             }
         }
-        if min_pre == Cycle::MAX {
-            // All banks precharged: the next REF start.
-            deadline.max(lane.earliest_ref(rank, now)).max(bus)
-        } else {
-            let urgent_at = deadline
-                .saturating_add((RankState::MAX_POSTPONE - 1).saturating_mul(self.timing.t_refi));
-            if now < urgent_at {
-                urgent_at
-            } else {
-                min_pre.max(bus)
-            }
-        }
+        min_pre.max(bus)
     }
 
     /// Per-bank queue diagnostics for the watchdog's stall snapshot

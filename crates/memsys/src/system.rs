@@ -313,7 +313,13 @@ impl MemSystem {
         } = self;
         replies.clear();
         let mit = &mut *mitigation;
+        // A shard with no admission that is `idle_at(now)` would return
+        // an empty reply from `pass`; not calling it leaves every counter
+        // and the merge below unchanged.
         for (shard, bufs) in shards.iter_mut().zip(admit_bufs.iter_mut()) {
+            if bufs.is_empty() && shard.idle_at(now) {
+                continue;
+            }
             replies.push(shard.pass(now, bufs, mit));
         }
         // Canonical merge: refresh-phase commands in channel order, then
